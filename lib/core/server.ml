@@ -741,7 +741,7 @@ let request_inner t (spec : Spec.t) key =
         | None -> next_id t base
       in
       let constraints_met =
-        Sizing.meets_constraints sized spec.Spec.constraints
+        Sizing.violation report spec.Spec.constraints <= 0.0
       in
       let inst =
         { Instance.id;

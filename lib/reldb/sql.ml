@@ -134,10 +134,12 @@ let parse_literal = function
       let v =
         if String.contains n '.' || String.contains n 'e'
            || String.contains n 'E'
-        then Value.Float (float_of_string n)
-        else Value.Int (int_of_string n)
+        then Option.map (fun f -> Value.Float f) (float_of_string_opt n)
+        else Option.map (fun i -> Value.Int i) (int_of_string_opt n)
       in
-      (v, rest)
+      (match v with
+       | Some v -> (v, rest)
+       | None -> sql_err "malformed or out-of-range number %s" n)
   | Word w :: rest when kw_eq w "true" -> (Value.Bool true, rest)
   | Word w :: rest when kw_eq w "false" -> (Value.Bool false, rest)
   | _ -> sql_err "expected a literal"
@@ -212,8 +214,10 @@ type qdesc = {
 
 let parse_limit toks =
   match toks with
-  | Word l :: Num n :: rest when kw_eq l "limit" ->
-      (Some (int_of_string n), rest)
+  | Word l :: Num n :: rest when kw_eq l "limit" -> (
+      match int_of_string_opt n with
+      | Some k when k >= 0 -> (Some k, rest)
+      | _ -> sql_err "LIMIT expects a non-negative integer, got %s" n)
   | _ -> (None, toks)
 
 (* After the SELECT keyword. *)

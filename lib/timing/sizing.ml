@@ -56,113 +56,119 @@ let violation (r : Sta.report) c =
    | None -> ());
   if !v = neg_infinity then 0.0 else !v
 
-(* A figure of merit to minimize for the strategies. *)
-let merit (r : Sta.report) nl = function
-  | Fastest ->
-      r.Sta.clock_width
-      +. List.fold_left (fun acc (_, wd) -> Float.max acc wd) 0.0
-           r.Sta.output_delays
-  | Cheapest | Balanced -> Sta.cell_area nl
+(* The figure of merit [Fastest] minimizes. *)
+let merit (r : Sta.report) =
+  r.Sta.clock_width
+  +. List.fold_left (fun acc (_, wd) -> Float.max acc wd) 0.0
+       r.Sta.output_delays
 
-let resize nl inst_name factor =
-  { nl with
-    Netlist.instances =
-      List.map
-        (fun (i : Netlist.instance) ->
-          if i.inst_name = inst_name then
-            { i with size = Float.min max_size (i.size *. factor) }
-          else i)
-        nl.Netlist.instances }
+module G = Sta.Graph
+
+(* Instance [i]'s size after one upsizing step. *)
+let upsized g i = Float.min max_size (G.size g i *. size_step)
+
+(* Try upsizing instance [i] in place: apply, analyze, [read] the
+   result, restore. Loads are recomputed, not patched, on both resizes,
+   so the graph is left exactly as it was. *)
+let evaluate g evals i read =
+  let old = G.size g i in
+  G.set_size g i (upsized g i);
+  incr evals;
+  let x = read (G.analyze g) in
+  G.set_size g i old;
+  x
+
+(* Fold [f] over the instances [keep] selects, in netlist order. *)
+let fold_candidates g keep f init =
+  let acc = ref init in
+  for i = 0 to G.instance_count g - 1 do
+    if keep i then acc := f !acc i
+  done;
+  !acc
 
 (* Candidate instances: the TILOS move — only gates on the current
    critical path are worth upsizing; trying each of those and keeping
    the best violation-improvement per added area is cheap because the
    path is short compared to the netlist. *)
-let best_upsize nl c current_violation =
-  let base_area = Sta.cell_area nl in
-  let try_candidates candidates =
-    List.fold_left
-      (fun best (i : Netlist.instance) ->
-        if i.size >= max_size then best
+let best_upsize g evals c current_violation =
+  let base_area = G.cell_area g in
+  let try_candidates keep =
+    fold_candidates g keep
+      (fun best i ->
+        if G.size g i >= max_size then best
         else
-          let nl' = resize nl i.inst_name size_step in
-          let r' = Sta.analyze ~port_loads:c.port_loads nl' in
-          let v' = violation r' c in
+          let v', area' =
+            evaluate g evals i (fun r' -> (violation r' c, G.cell_area g))
+          in
           let gain = current_violation -. v' in
           if gain <= 1e-9 then best
           else
-            let cost = Float.max 1.0 (Sta.cell_area nl' -. base_area) in
+            let cost = Float.max 1.0 (area' -. base_area) in
             let score = gain /. cost in
             match best with
-            | Some (_, _, best_score) when best_score >= score -> best
-            | _ -> Some (i.inst_name, nl', score))
-      None candidates
-  in
-  let on_path = Sta.critical_instances ~port_loads:c.port_loads nl in
-  let path_candidates =
-    List.filter (fun (i : Netlist.instance) -> List.mem i.inst_name on_path)
-      nl.Netlist.instances
+            | Some (_, best_score) when best_score >= score -> best
+            | _ -> Some (i, score))
+      None
   in
   (* the violated constraint may not lie on the globally-worst path
      (e.g. a clock-width bound while an untimed output is slower);
      fall back to the full netlist when the path offers no gain *)
-  match try_candidates path_candidates with
-  | Some r -> Some r
-  | None -> try_candidates nl.Netlist.instances
+  let on_path = G.critical_mask g in
+  match try_candidates (Array.get on_path) with
+  | Some (i, _) -> Some i
+  | None -> Option.map fst (try_candidates (fun _ -> true))
 
-(* Meet the constraints by greedy upsizing. Returns the sized netlist
-   (best effort: if constraints are unreachable the largest-improvement
-   netlist found is returned along with the final report). *)
+(* Meet the constraints by greedy upsizing on one compiled timing graph.
+   Returns the sized netlist (best effort: if constraints are
+   unreachable the largest-improvement netlist found is returned). *)
 let size_to_constraints (nl : Netlist.t) (c : constraints) =
   Icdb_obs.Trace.with_span "sizing.size" @@ fun () ->
   match c.strategy with
   | Cheapest -> nl  (* minimum area: leave everything at size 1 *)
-  | Fastest ->
-      (* upsize gates on the critical path while the merit (delay)
-         keeps dropping measurably *)
-      let rec loop nl iters =
-        if iters >= max_iterations then nl
-        else
-          let r = Sta.analyze ~port_loads:c.port_loads nl in
-          let m = merit r nl Fastest in
-          let on_path = Sta.critical_instances ~port_loads:c.port_loads nl in
-          let candidates =
-            List.filter
-              (fun (i : Netlist.instance) -> List.mem i.inst_name on_path)
-              nl.Netlist.instances
-          in
-          let candidates =
-            if candidates = [] then nl.Netlist.instances else candidates
+  | Fastest | Balanced ->
+      let g = G.compile ~port_loads:c.port_loads nl in
+      let evals = ref 0 in
+      let rec fastest iters =
+        (* upsize gates on the critical path while the merit (delay)
+           keeps dropping measurably *)
+        if iters < max_iterations then begin
+          let m = merit (G.analyze g) in
+          let on_path = G.critical_mask g in
+          let keep =
+            if Array.mem true on_path then Array.get on_path else fun _ -> true
           in
           let candidate =
-            List.fold_left
-              (fun best (i : Netlist.instance) ->
-                if i.size >= max_size then best
+            fold_candidates g keep
+              (fun best i ->
+                if G.size g i >= max_size then best
                 else
-                  let nl' = resize nl i.inst_name size_step in
-                  let r' = Sta.analyze ~port_loads:c.port_loads nl' in
-                  let m' = merit r' nl' Fastest in
+                  let m' = evaluate g evals i merit in
                   match best with
                   | Some (_, bm) when bm <= m' -> best
-                  | _ -> if m' < m -. 1e-6 then Some (nl', m') else best)
-              None candidates
+                  | _ -> if m' < m -. 1e-6 then Some (i, m') else best)
+              None
           in
           match candidate with
-          | Some (nl', _) -> loop nl' (iters + 1)
-          | None -> nl
+          | Some (i, _) ->
+              G.set_size g i (upsized g i);
+              fastest (iters + 1)
+          | None -> ()
+        end
       in
-      loop nl 0
-  | Balanced ->
-      let rec loop nl iters =
-        let r = Sta.analyze ~port_loads:c.port_loads nl in
-        let v = violation r c in
-        if v <= 0.0 || iters >= max_iterations then nl
+      let rec balanced iters =
+        let v = violation (G.analyze g) c in
+        if v <= 0.0 || iters >= max_iterations then ()
         else
-          match best_upsize nl c v with
-          | Some (_, nl', _) -> loop nl' (iters + 1)
-          | None -> nl
+          match best_upsize g evals c v with
+          | Some i ->
+              G.set_size g i (upsized g i);
+              balanced (iters + 1)
+          | None -> ()
       in
-      loop nl 0
+      if c.strategy = Fastest then fastest 0 else balanced 0;
+      if Icdb_obs.Trace.enabled () then
+        Icdb_obs.Trace.add_attr "evaluations" (string_of_int !evals);
+      G.to_netlist g
 
 let meets_constraints nl c =
   let r = Sta.analyze ~port_loads:c.port_loads nl in

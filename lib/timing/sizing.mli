@@ -34,6 +34,11 @@ val size_to_constraints :
 (** Returns a netlist with updated instance sizes (structure otherwise
     identical). Best effort: unreachable constraints yield the best
     netlist found — check with {!meets_constraints}, as the paper's
-    server relaxes rather than fails. *)
+    server relaxes rather than fails. Sizing compiles one
+    {!Sta.Graph} and tries each upsize in place on it; when tracing,
+    the [sizing.size] span's [evaluations] attribute counts the trials.
+    @raise Sta.Timing_error as {!Sta.Graph.compile} and
+    {!Sta.Graph.analyze} do, except under [Cheapest], which returns
+    the netlist untouched. *)
 
 val meets_constraints : Icdb_netlist.Netlist.t -> constraints -> bool

@@ -423,9 +423,14 @@ let test_service_full_cql_set () =
          (List.mem [ "counter" ] rows)
    | Ok (Wire.Affected _) -> Alcotest.fail "SELECT answered Affected"
    | Error (_, msg) -> Alcotest.failf "sql failed: %s" msg);
-  (match Client.sql c "SELEKT broken" with
-   | Error (Wire.Sql_error, _) -> ()
-   | _ -> Alcotest.fail "bad SQL should answer Sql_error");
+  List.iter
+    (fun stmt ->
+      match Client.sql c stmt with
+      | Error (Wire.Sql_error, _) -> ()
+      | _ -> Alcotest.failf "%S should answer Sql_error" stmt)
+    [ "SELEKT broken";
+      "SELECT name FROM components LIMIT 99999999999999999999";
+      "SELECT name FROM components LIMIT -1" ];
   match Client.stats c with
   | Ok payload ->
       check Alcotest.bool "stats carry a summary line" true

@@ -383,6 +383,25 @@ let test_sql_syntax_error () =
      Alcotest.fail "should raise"
    with Sql.Sql_error _ -> ())
 
+(* Numbers the lexer accepts but OCaml cannot represent are SQL
+   errors, not escaping [Failure]s; so is a negative LIMIT. *)
+let test_sql_bad_numbers () =
+  let db = sqldb () in
+  List.iter
+    (fun stmt ->
+      match Sql.exec db stmt with
+      | _ -> Alcotest.failf "%s should be a SQL error" stmt
+      | exception Sql.Sql_error _ -> ())
+    [ "SELECT * FROM impls LIMIT 99999999999999999999";
+      "SELECT * FROM impls LIMIT -1";
+      "SELECT * FROM impls LIMIT 1.5";
+      "PARETO impls ON size, area LIMIT 99999999999999999999";
+      "SELECT * FROM impls WHERE size = 99999999999999999999";
+      "SELECT * FROM impls WHERE area < 1.2.3";
+      "SELECT * FROM impls WHERE size > -" ];
+  check Alcotest.int "LIMIT 0 is fine" 0
+    (Query.count (run_select db "SELECT * FROM impls LIMIT 0"))
+
 let test_sql_string_with_spaces () =
   let db = Db.create () in
   let t = Db.create_table db "files" [ ("k", Value.Tstr) ] in
@@ -935,6 +954,7 @@ let () =
          Alcotest.test_case "insert/update/delete" `Quick test_sql_insert_update_delete;
          Alcotest.test_case "case-insensitive keywords" `Quick test_sql_case_insensitive_keywords;
          Alcotest.test_case "syntax error" `Quick test_sql_syntax_error;
+         Alcotest.test_case "bad numbers" `Quick test_sql_bad_numbers;
          Alcotest.test_case "string with spaces" `Quick test_sql_string_with_spaces ]);
       ("index",
        [ Alcotest.test_case "create/lookup/drop" `Quick test_index_basics;
