@@ -112,9 +112,13 @@ let exec_local server ~power p =
     r_degraded = degraded;
     r_constraints_met = inst.Icdb.Instance.constraints_met }
 
+(* One span per point, so that a traced sweep attributes the driver's
+   own work too: the CQL parse, reading the figures back and the store
+   insert. *)
 let run_local st server ~power pending =
   List.iter
     (fun p ->
+      Icdb_obs.Trace.with_span "explore.point" @@ fun () ->
       match exec_local server ~power p with
       | r -> record_result st r
       | exception

@@ -479,6 +479,28 @@ let test_resize_restores_exactly () =
   check Alcotest.bool "report unchanged" true (same_report r0 (Sta.Graph.analyze g));
   check Alcotest.bool "netlist unchanged" true (same_sizes nl (Sta.Graph.to_netlist g))
 
+let test_sizing_span_counts_evaluations () =
+  let was = Icdb_obs.Trace.enabled () in
+  Icdb_obs.Trace.set_enabled true;
+  let mark = Icdb_obs.Trace.finished_count () in
+  ignore
+    (Fun.protect
+       ~finally:(fun () -> Icdb_obs.Trace.set_enabled was)
+       (fun () ->
+         Sizing.size_to_constraints (adder 4)
+           { Sizing.default_constraints with strategy = Sizing.Fastest }));
+  match
+    List.filter
+      (fun (s : Icdb_obs.Trace.span) -> s.Icdb_obs.Trace.sname = "sizing.size")
+      (Icdb_obs.Trace.since mark)
+  with
+  | [ s ] ->
+      let n =
+        int_of_string (List.assoc "evaluations" s.Icdb_obs.Trace.sattrs)
+      in
+      check Alcotest.bool (Printf.sprintf "%d evaluations" n) true (n > 0)
+  | spans -> Alcotest.failf "%d sizing.size spans" (List.length spans)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_sizing_never_breaks_function; prop_graph_matches_reference;
@@ -505,6 +527,8 @@ let () =
       ("graph",
        [ Alcotest.test_case "duplicate instance name" `Quick test_duplicate_instance_name;
          Alcotest.test_case "resize restores exactly" `Quick test_resize_restores_exactly;
+         Alcotest.test_case "sizing span counts evaluations" `Quick
+           test_sizing_span_counts_evaluations;
          Alcotest.test_case "catalog sizing matches reference" `Quick
            test_sizing_catalog_matches_reference ]);
       ("properties", props) ]
