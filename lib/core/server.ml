@@ -718,7 +718,9 @@ let request_inner t (spec : Spec.t) key =
       if degraded then Metrics.incr m_degraded;
       let report =
         Trace.with_span "sta" @@ fun () ->
-        Sta.analyze ~port_loads:spec.Spec.constraints.Sizing.port_loads sized
+        try
+          Sta.analyze ~port_loads:spec.Spec.constraints.Sizing.port_loads sized
+        with Sta.Timing_error msg -> fail "timing: %s" msg
       in
       let shape = Trace.with_span "shape" (fun () -> Shape.of_netlist sized) in
       let functions, connections =
@@ -1049,7 +1051,11 @@ let rebuild_instance t row tbl =
       area;
   (* delays are re-derived from the recovered netlist; CW keeps the
      stored figure (the request's port loads are not persisted) *)
-  let report = { (Sta.analyze nl) with Sta.clock_width = cw } in
+  let report =
+    try { (Sta.analyze nl) with Sta.clock_width = cw }
+    with Sta.Timing_error msg ->
+      Fault.fault Fault.Corrupt "instance %s: netlist does not time: %s" id msg
+  in
   let component = match str "component" with "-" -> None | c -> Some c in
   let comp = Option.bind component Component.find in
   let functions, connections =

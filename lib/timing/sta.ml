@@ -175,6 +175,13 @@ module Graph = struct
         | Some m -> ext_load.(m) <- l
         | None -> ())
       (List.rev port_loads);
+    (* NaN means "no arrival" in the passes, so no load may make a
+       delay NaN *)
+    Array.iteri
+      (fun m l ->
+        if not (Float.is_finite l) then
+          fail "port load %g on %s is not finite" l net_names.(m))
+      ext_load;
     let is_input = Bytes.make nnets '\000' in
     List.iter (fun i -> Bytes.set is_input (net i) '\001') nl.Netlist.inputs;
     let readers = Array.map Array.of_list readers in

@@ -33,8 +33,9 @@ module Graph : sig
   val compile : ?port_loads:(string * float) list -> Icdb_netlist.Netlist.t -> t
   (** [compile ~port_loads nl] with external unit-transistor loads on
       the named output ports (the CQL [oload] figures; the first entry
-      for a port wins).
-      @raise Timing_error on unknown cells or duplicate instance names. *)
+      for a port wins; entries naming no net of [nl] are ignored).
+      @raise Timing_error on unknown cells, duplicate instance names or
+      a non-finite load on a net of [nl]. *)
 
   val instance_count : t -> int
 
@@ -70,8 +71,8 @@ val analyze :
   ?port_loads:(string * float) list -> Icdb_netlist.Netlist.t -> report
 (** [analyze ~port_loads nl] runs timing with external unit-transistor
     loads on the named output ports (the CQL [oload] figures).
-    @raise Timing_error on unknown cells, duplicate instance names or
-    timing loops. *)
+    @raise Timing_error on unknown cells, duplicate instance names,
+    non-finite port loads or timing loops. *)
 
 val critical_instances :
   ?port_loads:(string * float) list -> Icdb_netlist.Netlist.t -> string list

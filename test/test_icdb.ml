@@ -440,6 +440,41 @@ let test_cql_vhdl_cluster () =
   check Alcotest.bool "cluster area listing" true
     (contains (Exec.get_string r3 "area") "strip = 1")
 
+(* A request whose netlist cannot be timed is a classified ICDB error,
+   not an escaping timing exception: here a cluster whose two instances
+   share a label, and a non-finite output load. *)
+let test_untimeable_request_is_classified () =
+  with_server @@ fun server ->
+  ignore
+    (Exec.run server
+       "command:request_component; implementation:ADDER; attribute:(size:2);\n\
+        naming:add2; instance:?s");
+  let vhdl =
+    "entity twice is port (\n\
+     a0 : in bit; a1 : in bit; b0 : in bit; b1 : in bit; ci : in bit;\n\
+     s0 : out bit; s1 : out bit; co : out bit;\n\
+     t0 : out bit; t1 : out bit; cp : out bit );\n\
+     end twice;\n\
+     architecture s of twice is begin\n\
+     u1: add2 port map (I0[0] => a0, I0[1] => a1, I1[0] => b0,\n\
+     I1[1] => b1, Cin => ci, O[0] => s0, O[1] => s1, Cout => co);\n\
+     u1: add2 port map (I0[0] => b0, I0[1] => b1, I1[0] => a0,\n\
+     I1[1] => a1, Cin => ci, O[0] => t0, O[1] => t1, Cout => cp);\n\
+     end s;"
+  in
+  let classified name f =
+    match f () with
+    | _ -> Alcotest.failf "%s should fail" name
+    | exception Server.Icdb_error _ -> ()
+  in
+  classified "duplicate labels" (fun () ->
+      Exec.run server ~args:[ Exec.Astr vhdl ]
+        "command:request_component; VHDL_net_list:%s; instance:?s");
+  classified "NaN output load" (fun () ->
+      Exec.run server
+        "command:request_component; component_name:adder; attribute:(size:2);\n\
+         oload:(Cout:nan); instance:?s")
+
 let test_cql_list_management () =
   with_server @@ fun server ->
   List.iter
@@ -505,6 +540,8 @@ let () =
          Alcotest.test_case "layout request" `Quick test_cql_layout_request;
          Alcotest.test_case "layout target" `Quick test_cql_layout_target;
          Alcotest.test_case "vhdl cluster via CQL" `Quick test_cql_vhdl_cluster;
+         Alcotest.test_case "untimeable request is classified" `Quick
+           test_untimeable_request_is_classified;
          Alcotest.test_case "list management" `Quick test_cql_list_management;
          Alcotest.test_case "missing args" `Quick test_cql_missing_args;
          Alcotest.test_case "unknown command" `Quick test_cql_unknown_command ]) ]

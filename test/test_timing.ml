@@ -464,6 +464,20 @@ let test_duplicate_instance_name () =
         (Sizing.size_to_constraints nl
            { Sizing.default_constraints with strategy = Sizing.Fastest }))
 
+let test_non_finite_port_load () =
+  (* NaN marks "no arrival" inside the graph, so a load that would make
+     a delay NaN is refused; one naming no net is ignored as before *)
+  let nl = adder 2 in
+  List.iter
+    (fun l ->
+      match Sta.analyze ~port_loads:[ ("Cout", l) ] nl with
+      | _ -> Alcotest.failf "load %g should be refused" l
+      | exception Sta.Timing_error _ -> ())
+    [ Float.nan; Float.infinity ];
+  check Alcotest.bool "unknown port ignored" true
+    (same_report (Sta.analyze nl)
+       (Sta.analyze ~port_loads:[ ("nowhere", Float.nan) ] nl))
+
 let test_resize_restores_exactly () =
   (* upsizing and restoring an instance leaves every figure as it was:
      loads are recomputed, never patched *)
@@ -526,6 +540,7 @@ let () =
          Alcotest.test_case "load costs area" `Quick test_sizing_load_costs_area ]);
       ("graph",
        [ Alcotest.test_case "duplicate instance name" `Quick test_duplicate_instance_name;
+         Alcotest.test_case "non-finite port load" `Quick test_non_finite_port_load;
          Alcotest.test_case "resize restores exactly" `Quick test_resize_restores_exactly;
          Alcotest.test_case "sizing span counts evaluations" `Quick
            test_sizing_span_counts_evaluations;
