@@ -470,7 +470,12 @@ module Graph = struct
     List.sort_uniq String.compare
       (List.map (fun i -> g.names.(i)) (critical_path g))
 
-  let cell_area g = Array.fold_left ( +. ) 0.0 g.area
+  let cell_area g =
+    let acc = ref 0.0 in
+    for i = 0 to Array.length g.area - 1 do
+      acc := !acc +. g.area.(i)
+    done;
+    !acc
 
   let to_netlist g =
     { g.nl with
