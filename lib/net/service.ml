@@ -168,14 +168,11 @@ type t = {
   h_request : Metrics.histogram;    (* all-command service time *)
   h_poll_wait : Metrics.histogram;  (* per-tick time parked in poll(2) *)
   h_dispatch : Metrics.histogram;   (* per-tick time dispatching readiness *)
-  (* Slow-query log: requests that took longer than [slow_threshold_s],
-     kept in a fixed ring of [slow_cap] slots — recording is O(1)
-     (overwrite the oldest), not the O(n) list trim it used to be.
-     [slow_next] counts entries ever recorded; the live slot for the
-     next entry is [slow_next mod slow_cap]. *)
-  slock : Mutex.t;
-  slow_ring : Wire.slow_entry option array;
-  mutable slow_next : int;
+  (* Slow-query log: the last [slow_cap] requests that took longer
+     than [slow_threshold_s]. Recording is O(1): a push overwrites the
+     oldest entry. *)
+  slock : Mutex.t;        (* guards [slow] and [last_slow_warn] *)
+  slow : Wire.slow_entry Ring.t;
   mutable last_slow_warn : float;  (* rate limit for the warn event *)
   (* Continuous telemetry (None when [telemetry_period_s <= 0]). *)
   mutable sampler : Series.t option;
@@ -192,13 +189,12 @@ let slow_cap = 64
 
 let now () = Unix.gettimeofday ()
 
-(* Newest-first snapshot of the slow ring. Caller holds [slock]. *)
-let slow_snapshot_locked t =
-  List.filter_map
-    (fun i ->
-      let idx = t.slow_next - 1 - i in
-      if idx < 0 then None else t.slow_ring.(idx mod slow_cap))
-    (List.init slow_cap Fun.id)
+(* The slow log, newest first. *)
+let slow_log t =
+  Mutex.lock t.slock;
+  let l = Ring.to_list t.slow in
+  Mutex.unlock t.slock;
+  List.rev l
 
 (* Primary-side replication metrics. *)
 let g_followers = Metrics.gauge "repl.followers"
@@ -483,13 +479,7 @@ let stats_payload t =
           hs_p99 = s.Metrics.s_p99 })
       (Metrics.histograms reg)
   in
-  let sp_slow =
-    Mutex.lock t.slock;
-    let l = slow_snapshot_locked t in
-    Mutex.unlock t.slock;
-    l
-  in
-  { Wire.sp_text; sp_counters; sp_gauges; sp_hists; sp_slow }
+  { Wire.sp_text; sp_counters; sp_gauges; sp_hists; sp_slow = slow_log t }
 
 let remote_of_span (s : Trace.span) =
   { Wire.rs_id = s.Trace.sid;
@@ -715,8 +705,7 @@ let record_slow t ~cmd ~info ~conn ~seconds =
   in
   let do_warn =
     Mutex.lock t.slock;
-    t.slow_ring.(t.slow_next mod slow_cap) <- Some entry;
-    t.slow_next <- t.slow_next + 1;
+    Ring.push t.slow entry;
     let tnow = now () in
     let warn = tnow -. t.last_slow_warn >= 1.0 in
     if warn then t.last_slow_warn <- tnow;
@@ -1157,9 +1146,8 @@ let rec drain_frames t conn =
                (Option.value id ~default:0)
                Wire.Version_mismatch
                (Printf.sprintf
-                  "peer speaks protocol v%d, this server speaks v%d (v%d \
-                   still accepted)"
-                  got Wire.protocol_version Wire.min_protocol_version);
+                  "peer speaks protocol v%d, this server speaks only v%d"
+                  got Wire.protocol_version);
              conn.last_active <- now ()
          | Error (Wire.Malformed { id; reason }) ->
              Metrics.incr t.ctr.c_malformed;
@@ -1686,8 +1674,7 @@ let start ?(config = default_config) sync =
       h_poll_wait = Metrics.histogram "net.loop.poll_wait";
       h_dispatch = Metrics.histogram "net.loop.dispatch";
       slock = Mutex.create ();
-      slow_ring = Array.make slow_cap None;
-      slow_next = 0;
+      slow = Ring.create slow_cap;
       last_slow_warn = 0.0;
       sampler = None;
       loop_heartbeat = now ();
@@ -1716,18 +1703,6 @@ let queue_depth t =
   Mutex.lock t.qlock;
   let n = Queue.length t.queue in
   Mutex.unlock t.qlock;
-  n
-
-let slow_log t =
-  Mutex.lock t.slock;
-  let l = slow_snapshot_locked t in
-  Mutex.unlock t.slock;
-  l
-
-let follower_count t =
-  Mutex.lock t.rlock;
-  let n = List.length t.followers in
-  Mutex.unlock t.rlock;
   n
 
 let sampler t = t.sampler

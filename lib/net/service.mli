@@ -167,9 +167,7 @@ val watchdog : t -> bool * string
     emits a structured event and bumps [net.watchdog.trips]. Always
     [(false, "")] when telemetry is disabled. *)
 
-val follower_count : t -> int
-(** Currently subscribed replication followers (primaries only;
-    always 0 on a read-only service).
+(** {2 Replication}
 
     A primary accepts [Subscribe {cursor}] frames: a cursor inside the
     journal's sequence window starts a push stream of [Journal_batch]
@@ -183,7 +181,8 @@ val follower_count : t -> int
     behind is shed with a terminal [Repl_error] and must reconnect.
     Empty batches are 1 Hz heartbeats carrying the primary's next
     sequence number so followers can measure lag. Instrumented under
-    [repl.*]: followers gauge, batches_sent / records_sent /
+    [repl.*]: followers gauge (subscribed followers; always 0 on a
+    read-only service), batches_sent / records_sent /
     followers_shed / checkpoints_sent / readonly_rejected counters. *)
 
 val request_shutdown : t -> unit

@@ -5,7 +5,7 @@
 
     {v
       u32  payload length          (at most {!max_payload})
-      u8   protocol version        (stamped per frame kind; see below)
+      u8   protocol version        (always {!protocol_version})
       u8   frame kind
       i64  request id              (echoed verbatim in the response)
       ...  request context         (requests only: trace id + deadline)
@@ -35,31 +35,19 @@
     [Batch_reply] (per-entry results in entry order, errors isolated
     to their entry), and servers may answer {e single} requests out of
     order — responses are matched to requests by the i64 id, never by
-    arrival order. v4 is a byte-level superset of v3, so the decoder
-    accepts both ({!min_protocol_version}).
+    arrival order.
 
     v5 appends a query-plan summary string to each slow-log entry
     inside [Stats_report] ({!slow_entry.sl_plan}).
 
-    Version stamping is per frame kind: each kind is stamped with the
-    version that last changed its payload — [Stats_report] carries 5,
-    [Batch]/[Batch_reply] carry 4, every other kind stays stamped 3.
-    A real v3 binary accepts only its own version, so an upgraded peer
-    must keep emitting 3 on the kinds v3 defined for rolling upgrades
-    to work in both directions; the v5 stamp on [Stats_report] makes
-    an old peer classify the reshaped payload as the recoverable
-    {!Bad_version} instead of misparsing it, while this decoder reads
-    the plan field only from frames stamped >= 5 (defaulting it to
-    [""]), so an old server's reports still decode. *)
+    There is one version on the wire: every frame is stamped
+    {!protocol_version}, and a frame stamped anything else decodes to
+    the recoverable {!Bad_version}. Client, follower and server all
+    link this codec, and no frame is ever stored, so no older peer
+    needs interoperating with. *)
 
 val protocol_version : int
-(** The newest version this codec speaks. Individual kinds are stamped
-    with the version that last changed them (see the stamping note
-    above). *)
-
-val min_protocol_version : int
-(** Oldest version the decoder still accepts. Frames older than this
-    classify as the recoverable {!Bad_version}. *)
+(** The only version this codec writes or accepts. *)
 
 val max_payload : int
 
@@ -141,8 +129,7 @@ type slow_entry = {
   sl_phases : (string * float) list;  (** per-phase seconds *)
   sl_plan : string;            (** v5: query-plan summary, e.g.
                                    ["indexed(pts.key)"]; [""] when the
-                                   request had no plan or the entry
-                                   came from a pre-v5 peer *)
+                                   request had no plan *)
 }
 
 type stats_payload = {

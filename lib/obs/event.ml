@@ -1,7 +1,7 @@
 (* Structured event log with severity levels and pluggable sinks.
 
    An event is a timestamped message plus key/value fields; sinks
-   decide where it goes (stderr, a file, a bounded in-memory ring).
+   decide where it goes (stderr, a file, the flight recorder's ring).
    With no sink installed, or below the threshold level, emission is a
    couple of comparisons and no allocation — instrumented code can log
    unconditionally.
@@ -124,23 +124,3 @@ let file_sink path =
     output_string oc (render e);
     output_char oc '\n';
     flush oc
-
-(* Bounded in-memory ring: keeps the [cap] most recent events. Returns
-   the sink and a reader yielding retained events oldest-first. *)
-let ring_sink cap =
-  if cap <= 0 then invalid_arg "Event.ring_sink: capacity must be positive";
-  let buf = Array.make cap None in
-  let total = ref 0 in
-  let sink e =
-    buf.(!total mod cap) <- Some e;
-    incr total
-  in
-  let read () =
-    let n = min !total cap in
-    let lo = !total - n in
-    List.init n (fun i ->
-        match buf.((lo + i) mod cap) with
-        | Some e -> e
-        | None -> assert false)
-  in
-  (sink, read)

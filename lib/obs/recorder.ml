@@ -15,10 +15,8 @@
    operator asked. *)
 
 type t = {
-  cap : int;
-  lock : Mutex.t;
-  events : string array;        (* rendered logfmt lines, ring *)
-  mutable total : int;          (* events ever captured *)
+  lock : Mutex.t;               (* guards [events] and the fields below *)
+  events : string Ring.t;       (* rendered logfmt lines *)
   mutable sink_id : int option; (* our Event sink registration *)
   mutable sampler : Series.t option;
   mutable series_last : int;    (* samples per series to include *)
@@ -30,12 +28,9 @@ type t = {
 }
 
 let create ?(cap = 1024) () =
-  if cap <= 0 then invalid_arg "Recorder.create: capacity must be positive";
   let t =
-    { cap;
-      lock = Mutex.create ();
-      events = Array.make cap "";
-      total = 0;
+    { lock = Mutex.create ();
+      events = Ring.create cap;
       sink_id = None;
       sampler = None;
       series_last = 120;
@@ -46,8 +41,7 @@ let create ?(cap = 1024) () =
   let sink e =
     let line = Event.render e in
     Mutex.lock t.lock;
-    t.events.(t.total mod t.cap) <- line;
-    t.total <- t.total + 1;
+    Ring.push t.events line;
     Mutex.unlock t.lock
   in
   t.sink_id <- Some (Event.add_sink sink);
@@ -78,16 +72,14 @@ let set_meta t kvs =
 
 let event_count t =
   Mutex.lock t.lock;
-  let n = min t.total t.cap in
+  let n = Ring.length t.events in
   Mutex.unlock t.lock;
   n
 
 (* Captured events oldest-first. *)
 let events t =
   Mutex.lock t.lock;
-  let n = min t.total t.cap in
-  let lo = t.total - n in
-  let out = List.init n (fun i -> t.events.((lo + i) mod t.cap)) in
+  let out = Ring.to_list t.events in
   Mutex.unlock t.lock;
   out
 
@@ -97,7 +89,9 @@ let to_json ?(reason = "requested") t =
   let sampler = t.sampler
   and series_last = t.series_last
   and tables = t.tables
-  and meta = t.meta in
+  and meta = t.meta
+  and captured = Ring.total t.events
+  and lines = Ring.to_list t.events in
   Mutex.unlock t.lock;
   let table_json (name, poll) =
     let rows = try poll () with _ -> [] in
@@ -116,10 +110,9 @@ let to_json ?(reason = "requested") t =
        ("meta", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) meta));
        ( "events",
          Json.Obj
-           [ ("captured", Json.Int t.total);
-             ("retained", Json.Int (event_count t));
-             ("lines", Json.List (List.map (fun l -> Json.Str l) (events t)))
-           ] );
+           [ ("captured", Json.Int captured);
+             ("retained", Json.Int (List.length lines));
+             ("lines", Json.List (List.map (fun l -> Json.Str l) lines)) ] );
        ( "series",
          match sampler with
          | None -> Json.Null

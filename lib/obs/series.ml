@@ -5,9 +5,10 @@
    /metrics, !stats, /slowz — is a point-in-time snapshot: a 30-second
    stall or a replication-lag ramp leaves no evidence once it passes.
    A sampler closes that gap. Each registered series snapshots one
-   scalar per tick into a preallocated float ring sharing the sampler's
-   timestamp ring, so a tick allocates nothing and costs one clock
-   read plus one array write per series; history readback ([samples],
+   scalar per tick into its own float {!Ring}, pushed in lockstep with
+   the sampler's timestamp ring, so after the first tick a tick writes
+   only preallocated storage and costs one clock read plus one ring
+   push per series; history readback ([samples],
    /statz, the flight recorder) is the cold path and may allocate.
 
    Sources:
@@ -41,7 +42,7 @@ type source =
 type series = {
   sr_name : string;
   sr_source : source;
-  sr_data : float array;      (* ring, indexed by the sampler's tick count *)
+  sr_data : float Ring.t;     (* one point per retained tick *)
   mutable sr_last : int;      (* previous counter reading, for deltas *)
 }
 
@@ -52,11 +53,9 @@ let kind_of = function
 
 type t = {
   period_s : float;
-  cap : int;
-  times : float array;        (* wall-clock of each retained tick *)
-  lock : Mutex.t;             (* guards [series] and the tick counters *)
+  times : float Ring.t;       (* wall-clock of each retained tick *)
+  lock : Mutex.t;             (* guards the rings, [series] and the counters *)
   mutable series : series list;  (* registration order, newest first *)
-  mutable total : int;        (* ticks ever taken *)
   mutable missed : int;       (* deadlines missed by a late tick *)
   mutable last_tick : float;  (* wall-clock of the last completed tick *)
   mutable on_tick : (unit -> unit) list;
@@ -65,14 +64,11 @@ type t = {
 }
 
 let create ?(cap = 600) ~period_s () =
-  if cap <= 0 then invalid_arg "Series.create: capacity must be positive";
   if period_s <= 0.0 then invalid_arg "Series.create: period must be positive";
   { period_s;
-    cap;
-    times = Array.make cap 0.0;
+    times = Ring.create cap;
     lock = Mutex.create ();
     series = [];
-    total = 0;
     missed = 0;
     last_tick = 0.0;
     on_tick = [];
@@ -80,7 +76,7 @@ let create ?(cap = 600) ~period_s () =
     thread = None }
 
 let period t = t.period_s
-let capacity t = t.cap
+let capacity t = Ring.capacity t.times
 
 let locked t f =
   Mutex.lock t.lock;
@@ -91,10 +87,16 @@ let add t name source =
   match List.find_opt (fun s -> s.sr_name = name) t.series with
   | Some s -> s
   | None ->
+      (* a series registered late reads NaN for the ticks it missed,
+         which keeps its ring the same length as [times] *)
+      let data = Ring.create (Ring.capacity t.times) in
+      for _ = 1 to Ring.length t.times do
+        Ring.push data Float.nan
+      done;
       let s =
         { sr_name = name;
           sr_source = source;
-          sr_data = Array.make t.cap Float.nan;
+          sr_data = data;
           sr_last =
             (match source with Counter c -> c.Metrics.count | _ -> 0) }
       in
@@ -120,17 +122,15 @@ let sample_of s =
 let tick t =
   let now = Unix.gettimeofday () in
   Mutex.lock t.lock;
-  let slot = t.total mod t.cap in
-  t.times.(slot) <- now;
-  List.iter (fun s -> s.sr_data.(slot) <- sample_of s) t.series;
-  t.total <- t.total + 1;
+  Ring.push t.times now;
+  List.iter (fun s -> Ring.push s.sr_data (sample_of s)) t.series;
   t.last_tick <- now;
   let hooks = t.on_tick in
   Mutex.unlock t.lock;
   List.iter (fun f -> try f () with _ -> ()) hooks
 
-let sample_count t = locked t (fun () -> min t.total t.cap)
-let total_ticks t = locked t (fun () -> t.total)
+let sample_count t = locked t (fun () -> Ring.length t.times)
+let total_ticks t = locked t (fun () -> Ring.total t.times)
 let missed_deadlines t = locked t (fun () -> t.missed)
 let last_tick t = locked t (fun () -> t.last_tick)
 
@@ -140,19 +140,14 @@ let list t = locked t (fun () -> List.rev t.series)
    timestamps. Cold path; allocates. *)
 let samples t s =
   locked t @@ fun () ->
-  let n = min t.total t.cap in
-  let lo = t.total - n in
-  List.init n (fun i ->
-      let slot = (lo + i) mod t.cap in
-      (t.times.(slot), s.sr_data.(slot)))
+  List.combine (Ring.to_list t.times) (Ring.to_list s.sr_data)
 
 (* The most recent point, when any tick has run. *)
 let last_value t s =
   locked t @@ fun () ->
-  if t.total = 0 then None
-  else
-    let slot = (t.total - 1) mod t.cap in
-    Some (t.times.(slot), s.sr_data.(slot))
+  match (Ring.newest t.times, Ring.newest s.sr_data) with
+  | Some ts, Some v -> Some (ts, v)
+  | _ -> None
 
 let running t = t.thread <> None
 

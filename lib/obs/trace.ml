@@ -44,41 +44,26 @@ let with_tag tag f =
   tag_ctx := Some tag;
   Fun.protect ~finally:(fun () -> tag_ctx := saved) f
 
-(* Completed-span ring. [total] counts every span ever finished; the
-   ring retains the last [cap] of them. *)
-let cap = ref 65536
-let ring : span option array ref = ref [||]
-let total = ref 0
+(* Completed spans: the ring retains the last [capacity] of them and
+   counts every span ever finished. *)
+let ring : span Ring.t = Ring.create 65536
 
-let capacity () = !cap
+let capacity () = Ring.capacity ring
 
 let reset () =
   stack := [];
-  ring := [||];
-  total := 0
+  Ring.clear ring
 
 let set_capacity n =
-  if n <= 0 then invalid_arg "Trace.set_capacity: capacity must be positive";
-  cap := n;
-  reset ()
+  Ring.set_capacity ring n;
+  stack := []
 
-let record s =
-  if Array.length !ring <> !cap then ring := Array.make !cap None;
-  !ring.(!total mod !cap) <- Some s;
-  incr total
+let finished_count () = Ring.total ring
 
-let finished_count () = !total
-
-(* Finished spans number [mark], in completion order, for
+(* Finished spans number [mark] and up, in completion order, for
    [mark] taken from [finished_count]. Spans evicted from the ring are
    silently absent. *)
-let since mark =
-  let lo = max mark (!total - !cap) in
-  let lo = max lo 0 in
-  List.init (!total - lo) (fun i ->
-      match !ring.((lo + i) mod !cap) with
-      | Some s -> s
-      | None -> assert false)
+let since mark = Ring.since ring mark
 
 let all_finished () = since 0
 
@@ -114,7 +99,7 @@ let stop s =
     (match !stack with
      | x :: rest when x == s -> stack := rest
      | l -> stack := List.filter (fun x -> x != s) l);
-    record s;
+    Ring.push ring s;
     Metrics.observe
       (Metrics.histogram ("span." ^ s.sname))
       (Clock.ns_to_s s.sdur_ns)
@@ -153,22 +138,6 @@ let phase_totals spans =
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export                                           *)
 (* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (* Complete ("ph":"X") events, one tid per owner tag: nesting within a
    row is recovered by the viewer from the containment of
@@ -210,7 +179,7 @@ let export_chrome ?spans () =
            (Printf.sprintf
               "\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\
                \"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-              tid (json_escape name)));
+              tid (Json.escape name)));
   List.iter
     (fun s ->
       sep ();
@@ -218,7 +187,7 @@ let export_chrome ?spans () =
         (Printf.sprintf
            "\n{\"name\":\"%s\",\"cat\":\"icdb\",\"ph\":\"X\",\"ts\":%.3f,\
             \"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{"
-           (json_escape s.sname)
+           (Json.escape s.sname)
            (Clock.ns_to_us (s.sstart_ns - t0))
            (Clock.ns_to_us (max 0 s.sdur_ns))
            (tid_of s.stag));
@@ -229,12 +198,12 @@ let export_chrome ?spans () =
       (match s.stag with
        | Some t ->
            Buffer.add_string buf
-             (Printf.sprintf ",\"tag\":\"%s\"" (json_escape t))
+             (Printf.sprintf ",\"tag\":\"%s\"" (Json.escape t))
        | None -> ());
       List.iter
         (fun (k, v) ->
           Buffer.add_string buf
-            (Printf.sprintf ",\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+            (Printf.sprintf ",\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
         s.sattrs;
       Buffer.add_string buf "}}")
     spans;

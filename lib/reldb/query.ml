@@ -210,26 +210,6 @@ let rename pairs rel =
   in
   { rel with rschema = List.map ren rel.rschema }
 
-let join left right ~on:(lc, rc) =
-  let li = col_index left lc and ri = col_index right rc in
-  let left_names = List.map fst left.rschema in
-  let disamb (c, ty) =
-    if List.mem c left_names then (c ^ "'", ty) else (c, ty)
-  in
-  let rschema = left.rschema @ List.map disamb right.rschema in
-  let rrows =
-    List.concat_map
-      (fun lrow ->
-        List.filter_map
-          (fun rrow ->
-            if cmp_values lrow.(li) rrow.(ri) = 0 then
-              Some (Array.append lrow rrow)
-            else None)
-          right.rrows)
-      left.rrows
-  in
-  { rname = left.rname ^ "*" ^ right.rname; rschema; rrows }
-
 let order_by col ?(desc = false) rel =
   let i = col_index rel col in
   let cmp a b =

@@ -99,12 +99,6 @@ val project : string list -> rel -> rel
 val rename : (string * string) list -> rel -> rel
 (** Rename columns, [(old, new)] pairs. *)
 
-val join : rel -> rel -> on:(string * string) -> rel
-(** Equijoin: rows of the product where [left.col1 = right.col2]. The
-    right relation's columns are prefixed with its join column's table
-    disambiguator only when names collide, by appending ["'"], so the
-    result schema has unique names. *)
-
 val order_by : string -> ?desc:bool -> rel -> rel
 (** Stable sort on one column. *)
 

@@ -198,13 +198,22 @@ let test_decode_malformed () =
   | Error (Wire.Malformed { id = Some 3; _ }) -> ()
   | _ -> Alcotest.fail "short string body should be Malformed"
 
+(* The codec speaks exactly one version: the older stamps 3 and 4
+   classify like any other foreign byte, and every frame it writes
+   carries [protocol_version]. *)
 let test_decode_bad_version () =
   let good = strip_header (Wire.encode_request { Wire.id = 21; body = Wire.Ping }) in
-  let b = Bytes.of_string good in
-  Bytes.set b 0 '\x09';
-  match Wire.decode_request (Bytes.to_string b) with
-  | Error (Wire.Bad_version { id = Some 21; got = 9 }) -> ()
-  | _ -> Alcotest.fail "flipped version byte should be Bad_version with id"
+  check Alcotest.int "frames are stamped protocol_version"
+    Wire.protocol_version (Char.code good.[0]);
+  List.iter
+    (fun v ->
+      let b = Bytes.of_string good in
+      Bytes.set b 0 (Char.chr v);
+      match Wire.decode_request (Bytes.to_string b) with
+      | Error (Wire.Bad_version { id = Some 21; got }) when got = v -> ()
+      | _ ->
+          Alcotest.failf "version byte %d should be Bad_version with id" v)
+    [ 3; 4; 9 ]
 
 let test_decode_v1_recoverable () =
   (* a pre-context (v1) frame must classify as Bad_version — with the
@@ -219,97 +228,6 @@ let test_decode_v1_recoverable () =
       Alcotest.failf "v1 frame should be Bad_version, got %s"
         (Wire.decode_error_to_string e)
   | Ok _ -> Alcotest.fail "v1 frame should not decode as v2"
-
-let test_version_stamped_per_kind () =
-  (* a real v3 binary accepts only its own version byte, so every frame
-     kind that existed in v3 and kept its v3 payload must still be
-     stamped 3 by this encoder — otherwise a rolling upgrade breaks: an
-     upgraded server's replies (and replication pushes) would classify
-     as Bad_version on every not-yet-upgraded client and follower. A
-     kind is stamped higher only when that version changed its payload:
-     the v4-only Batch kinds carry 4, and Stats_report — whose slow
-     entries grew a plan field in v5 — carries 5, so an old peer
-     classifies the reshaped payload instead of misparsing it. *)
-  let vbyte bytes = Char.code bytes.[4] (* u32 length, then version *) in
-  let v3_reqs : Wire.req list =
-    [ Wire.Ping;
-      Wire.Cql { text = "command:stats"; args = [ Icdb_cql.Exec.Aint 1 ] };
-      Wire.Sql "SELECT 1"; Wire.Stats; Wire.Trace_fetch "t"; Wire.Shutdown;
-      Wire.Subscribe { cursor = 0 } ]
-  in
-  List.iter
-    (fun body ->
-      check Alcotest.int "pre-v4 request kinds stay stamped v3" 3
-        (vbyte (Wire.encode_request { Wire.id = 1; body })))
-    v3_reqs;
-  let v3_resps : Wire.resp list =
-    [ Wire.Pong; Wire.Results []; Wire.Sql_result (Wire.Affected 1);
-      Wire.Sql_result (Wire.Relation { cols = [ "a" ]; rows = [ [ "1" ] ] });
-      Wire.Spans []; Wire.Error { code = Wire.Timeout; message = "m" };
-      Wire.Bye;
-      Wire.Journal_batch
-        { jb_first = 0; jb_next = 0; jb_records = []; jb_files = [] };
-      Wire.Checkpoint_offer { co_cursor = 0; co_files = 0 };
-      Wire.Checkpoint_chunk { cc_name = "f"; cc_data = "d"; cc_last = true };
-      Wire.Repl_error "e" ]
-  in
-  List.iter
-    (fun body ->
-      check Alcotest.int "unchanged response kinds stay stamped v3" 3
-        (vbyte (Wire.encode_response { Wire.id = 1; body })))
-    v3_resps;
-  check Alcotest.int "Batch carries the v4 stamp" 4
-    (vbyte (Wire.encode_request { Wire.id = 1; body = Wire.Batch [] }));
-  check Alcotest.int "Batch_reply carries the v4 stamp" 4
-    (vbyte (Wire.encode_response { Wire.id = 1; body = Wire.Batch_reply [] }));
-  check Alcotest.int "Stats_report carries the v5 stamp" 5
-    (vbyte
-       (Wire.encode_response
-          { Wire.id = 1;
-            body =
-              Wire.Stats_report
-                { Wire.sp_text = ""; sp_counters = []; sp_gauges = [];
-                  sp_hists = []; sp_slow = [] } }))
-
-let test_legacy_stats_report_decodes () =
-  (* A v3/v4 peer's Stats_report has no plan field on slow entries. We
-     fabricate one by encoding a v5 report whose single entry carries an
-     empty plan — the plan's u32 length is the last 4 bytes of the
-     payload — stripping those bytes and rewriting the version byte.
-     The decoder must accept it and default the plan to "". *)
-  let entry =
-    { Wire.sl_cmd = "net.sql"; sl_trace = "t"; sl_conn = 9;
-      sl_seconds = 1.5; sl_cache = "-"; sl_phases = [ ("exec", 1.4) ];
-      sl_plan = "" }
-  in
-  let body =
-    Wire.Stats_report
-      { Wire.sp_text = "x"; sp_counters = [ ("c", 1) ]; sp_gauges = [];
-        sp_hists = []; sp_slow = [ entry ] }
-  in
-  let bytes = Wire.encode_response { Wire.id = 3; body } in
-  (* strip the length header, drop the trailing empty-plan length,
-     restamp as v3, and hand the payload to the decoder directly *)
-  let payload = String.sub bytes 4 (String.length bytes - 4) in
-  let legacy = Bytes.of_string (String.sub payload 0 (String.length payload - 4)) in
-  Bytes.set legacy 0 '\003';
-  (match Wire.decode_response (Bytes.to_string legacy) with
-  | Ok { Wire.id = 3; body = Wire.Stats_report p } -> (
-      match p.Wire.sp_slow with
-      | [ e ] ->
-          check Alcotest.string "legacy entry decodes fields" "net.sql"
-            e.Wire.sl_cmd;
-          check Alcotest.string "plan defaults to empty" "" e.Wire.sl_plan
-      | _ -> Alcotest.fail "slow entry list reshaped")
-  | Ok _ -> Alcotest.fail "unexpected response shape"
-  | Error e -> Alcotest.failf "legacy v3 stats report rejected: %s"
-                 (Wire.decode_error_to_string e));
-  (* and the same v5 payload decodes with the plan intact *)
-  match Wire.decode_response payload with
-  | Ok { Wire.body = Wire.Stats_report p; _ } ->
-      check Alcotest.int "v5 decode keeps the entry" 1
-        (List.length p.Wire.sp_slow)
-  | _ -> Alcotest.fail "v5 stats report did not decode"
 
 let test_read_framing_failures () =
   let with_pipe f =
@@ -736,13 +654,27 @@ let test_service_slow_log () =
   | Some e ->
       check Alcotest.string "plan summary recorded" "scan(instances)"
         e.Wire.sl_plan);
+  (* newest first: the SQL request came after the CQL one *)
+  let traces = List.map (fun e -> e.Wire.sl_trace) (Service.slow_log svc) in
+  let pos tag =
+    let rec go i = function
+      | [] -> Alcotest.failf "%s missing from the slow log" tag
+      | x :: rest -> if x = tag then i else go (i + 1) rest
+    in
+    go 0 traces
+  in
+  check Alcotest.bool "slow log is newest-first" true
+    (pos "slow-sql" < pos "slow-1");
   (* the stats reply carries the same log across the wire *)
   match Client.stats c with
   | Error (_, msg) -> Alcotest.failf "stats failed: %s" msg
   | Ok payload ->
-      check Alcotest.bool "slow log crosses the wire" true
-        (List.exists
-           (fun e -> e.Wire.sl_trace = "slow-1")
+      check (Alcotest.list Alcotest.string)
+        "slow log crosses the wire, newest first" [ "slow-sql"; "slow-1" ]
+        (List.filter_map
+           (fun e ->
+             let tag = e.Wire.sl_trace in
+             if tag = "slow-1" || tag = "slow-sql" then Some tag else None)
            payload.Wire.sp_slow);
       check Alcotest.bool "plan summary crosses the wire" true
         (List.exists
@@ -1225,10 +1157,6 @@ let () =
             test_decode_bad_version;
           Alcotest.test_case "v1 frame is recoverable" `Quick
             test_decode_v1_recoverable;
-          Alcotest.test_case "pre-v4 kinds stamped v3" `Quick
-            test_version_stamped_per_kind;
-          Alcotest.test_case "legacy v3 stats report decodes" `Quick
-            test_legacy_stats_report_decodes;
           Alcotest.test_case "framing failures" `Quick test_read_framing_failures ] );
       ( "service",
         [ Alcotest.test_case "full CQL set" `Quick test_service_full_cql_set;

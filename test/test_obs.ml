@@ -8,6 +8,7 @@ open Icdb
 module Trace = Icdb_obs.Trace
 module Metrics = Icdb_obs.Metrics
 module Event = Icdb_obs.Event
+module Ring = Icdb_obs.Ring
 
 let check = Alcotest.check
 
@@ -147,11 +148,85 @@ let test_counters () =
   check Alcotest.int "reset zeroes in place" 0 (Metrics.counter_value c)
 
 (* ------------------------------------------------------------------ *)
+(* The bounded ring, against a list model                              *)
+(* ------------------------------------------------------------------ *)
+
+type ring_op = Push of int | Clear | Set_capacity of int
+
+let ring_op_to_string = function
+  | Push v -> Printf.sprintf "push %d" v
+  | Clear -> "clear"
+  | Set_capacity n -> Printf.sprintf "set_capacity %d" n
+
+(* Capacities 1..4 against runs of up to 40 operations, mostly pushes,
+   so most runs wrap the ring several times. *)
+let arb_ring_run =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [ (12, map (fun v -> Push v) (int_bound 999));
+        (1, return Clear);
+        (1, map (fun n -> Set_capacity n) (int_range 1 4)) ]
+  in
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "cap %d: %s" cap
+        (String.concat "; " (List.map ring_op_to_string ops)))
+    (pair (int_range 1 4) (list_size (int_bound 40) op))
+
+(* The model: every value pushed since the last clear, oldest first.
+   The ring must retain exactly the last [cap] of them and number them
+   from 0. After every operation, compare every reading, and [since m]
+   for each mark from below 0 through the evicted range, the retained
+   range and past [total]. *)
+let test_ring_model =
+  QCheck.Test.make ~name:"ring matches a list model" ~count:500 arb_ring_run
+    (fun (cap0, ops) ->
+      let r = Ring.create cap0 in
+      let cap = ref cap0 and all = ref [] in
+      let agrees () =
+        let total = List.length !all in
+        let retained lo = List.filteri (fun i _ -> i >= lo) !all in
+        let evicted = max 0 (total - !cap) in
+        Ring.total r = total
+        && Ring.capacity r = !cap
+        && Ring.length r = total - evicted
+        && Ring.to_list r = retained evicted
+        && Ring.newest r
+           = (match List.rev !all with [] -> None | v :: _ -> Some v)
+        && List.for_all
+             (fun m -> Ring.since r m = retained (max m evicted))
+             (List.init (total + 4) (fun i -> i - 1))
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Push v ->
+               Ring.push r v;
+               all := !all @ [ v ]
+           | Clear ->
+               Ring.clear r;
+               all := []
+           | Set_capacity n ->
+               Ring.set_capacity r n;
+               cap := n;
+               all := []);
+          agrees ())
+        ops
+      && agrees ())
+
+(* ------------------------------------------------------------------ *)
 (* Events                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* An event sink into a bounded ring, and a reader yielding the
+   retained events oldest-first. *)
+let ring_sink cap =
+  let r = Ring.create cap in
+  ((fun e -> Ring.push r e), fun () -> Ring.to_list r)
+
 let test_ring_sink () =
-  let sink, read = Event.ring_sink 4 in
+  let sink, read = ring_sink 4 in
   let saved = Event.level () in
   Event.set_level Event.Debug;
   let id = Event.add_sink sink in
@@ -168,7 +243,7 @@ let test_ring_sink () =
         (List.map (fun e -> List.assoc "i" e.Event.ev_fields) events))
 
 let test_event_threshold () =
-  let sink, read = Event.ring_sink 8 in
+  let sink, read = ring_sink 8 in
   let saved = Event.level () in
   Event.set_level Event.Warn;
   let id = Event.add_sink sink in
@@ -347,7 +422,17 @@ let test_series_ring_and_deltas () =
     | a :: (b :: _ as rest) -> a <= b && mono rest
     | _ -> true
   in
-  check Alcotest.bool "retained timestamps are monotone" true (mono times)
+  check Alcotest.bool "retained timestamps are monotone" true (mono times);
+  (* a series registered late reads NaN for the ticks it missed *)
+  let late = Series.add s "late" (Series.Gauge (Metrics.gauge "test.series.late")) in
+  Series.tick s;
+  match List.map snd (Series.samples s late) with
+  | [ a; b; c; d ] ->
+      check Alcotest.bool "missed ticks read NaN" true
+        (List.for_all Float.is_nan [ a; b; c ]);
+      check Alcotest.bool "the tick after registration is sampled" false
+        (Float.is_nan d)
+  | l -> Alcotest.failf "late series holds %d points, not 4" (List.length l)
 
 (* A writer hammers the counter while the sampler ticks: deltas must
    never go negative and must sum to exactly what the writer added. *)
@@ -487,6 +572,7 @@ let () =
           Alcotest.test_case "single-valued histogram exact" `Quick
             test_histogram_single_value;
           Alcotest.test_case "counters" `Quick test_counters ] );
+      ("ring", [ QCheck_alcotest.to_alcotest test_ring_model ]);
       ( "events",
         [ Alcotest.test_case "ring sink bounded, oldest-first" `Quick
             test_ring_sink;

@@ -196,29 +196,6 @@ let test_query_order_by () =
   check Alcotest.(list string) "descending area"
     [ "alu"; "counter"; "adder"; "register" ] names
 
-let test_query_join () =
-  let impls =
-    Table.create "impls" [ ("comp", Value.Tstr); ("impl", Value.Tstr) ]
-  in
-  Table.insert impls [ vstr "counter"; vstr "ripple" ];
-  Table.insert impls [ vstr "counter"; vstr "synchronous" ];
-  Table.insert impls [ vstr "adder"; vstr "ripple_carry" ];
-  let j = Query.join (rel ()) (Query.of_table impls) ~on:("name", "comp") in
-  check Alcotest.int "join rows" 3 (Query.count j);
-  let impls_of_counter =
-    Query.select (Query.Eq ("name", vstr "counter")) j
-    |> fun r -> Query.column_values r "impl" |> List.map Value.to_string
-  in
-  check Alcotest.(list string) "counter impls" [ "ripple"; "synchronous" ]
-    impls_of_counter
-
-let test_query_join_name_collision () =
-  let other = Table.create "o" [ ("name", Value.Tstr); ("x", Value.Tint) ] in
-  Table.insert other [ vstr "adder"; vint 1 ];
-  let j = Query.join (rel ()) (Query.of_table other) ~on:("name", "name") in
-  let cols = List.map fst j.Query.rschema in
-  check Alcotest.bool "disambiguated" true (List.mem "name'" cols)
-
 let test_query_distinct_limit () =
   let t = Table.create "d" [ ("v", Value.Tint) ] in
   List.iter (fun i -> Table.insert t [ vint i ]) [ 1; 2; 2; 3; 1 ];
@@ -935,8 +912,6 @@ let () =
          Alcotest.test_case "like" `Quick test_query_like;
          Alcotest.test_case "project reorders" `Quick test_query_project_reorders;
          Alcotest.test_case "order_by" `Quick test_query_order_by;
-         Alcotest.test_case "join" `Quick test_query_join;
-         Alcotest.test_case "join name collision" `Quick test_query_join_name_collision;
          Alcotest.test_case "distinct/limit" `Quick test_query_distinct_limit ]);
       ("db",
        [ Alcotest.test_case "rollback" `Quick test_db_rollback;
