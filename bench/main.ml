@@ -14,10 +14,7 @@ open Icdb_timing
 open Icdb_layout
 open Icdb_baseline
 
-let header title =
-  Printf.printf "\n=== %s ===\n" title
-
-let sub title = Printf.printf "-- %s --\n" title
+module J = Icdb_obs.Json
 
 let kilo f = f /. 1000.0
 
@@ -45,7 +42,7 @@ let synthesize flat =
 (* ------------------------------------------------------------------ *)
 
 let fig5 () =
-  header "E1 / Figure 5: area/time tradeoff of 5-bit up-counters";
+  Harness.header "E1 / Figure 5: area/time tradeoff of 5-bit up-counters";
   (* paper series: (name, delay ns, area 10^3 um^2) *)
   let paper =
     [ ("ripple", 17.4, 17.2);
@@ -90,7 +87,7 @@ let fig5 () =
 (* ------------------------------------------------------------------ *)
 
 let fig6 () =
-  header "E2 / Figure 6: shape function of the 5-bit up/down counter";
+  Harness.header "E2 / Figure 6: shape function of the 5-bit up/down counter";
   let paper =
     [ (33.0, 115.0); (36.0, 99.0); (37.0, 90.0); (44.0, 76.0);
       (67.0, 55.0); (67.0, 52.0); (88.0, 41.0); (133.0, 32.0) ]
@@ -131,7 +128,7 @@ let fig6 () =
 (* ------------------------------------------------------------------ *)
 
 let tab_delay () =
-  header "E3 / §3.3 delay listing: counter with enable, updown, parallel load";
+  Harness.header "E3 / §3.3 delay listing: counter with enable, updown, parallel load";
   print_endline
     "paper:     CW 29.0 | WD Q[4] 8.5  Q[3] 8.5  Q[2] 8.5  Q[1] 9.7  Q[0] 8.7 \
      | WD MINMAX 27.3 | SD DWUP 26.7";
@@ -151,7 +148,7 @@ let tab_delay () =
        [ "Q[0]"; "Q[1]"; "Q[2]"; "Q[3]"; "Q[4]" ])
     (List.assoc "DWUP" r.Sta.setup_times <= r.Sta.clock_width)
     (r.Sta.clock_width >= wd "Q[4]");
-  sub "full generated report";
+  Harness.sub "full generated report";
   print_string (Sta.report_to_string r)
 
 (* ------------------------------------------------------------------ *)
@@ -159,25 +156,20 @@ let tab_delay () =
 (* ------------------------------------------------------------------ *)
 
 let tab_shape () =
-  header "E4 / shape-function and area listings (§3.3, App B §5.3)";
+  Harness.header "E4 / shape-function and area listings (§3.3, App B §5.3)";
   let inst = counter_instance ~ud:3 ~load:1 ~enable:1 () in
-  sub "Alternative listing (§3.3 format)";
+  Harness.sub "Alternative listing (§3.3 format)";
   print_endline (Instance.shape_string inst);
-  sub "strip/width/height/area listing (App B §5.3 format)";
+  Harness.sub "strip/width/height/area listing (App B §5.3 format)";
   print_endline (Instance.area_listing inst)
 
 (* ------------------------------------------------------------------ *)
 (* E5 / Figure 9: layouts of the five counters                         *)
 (* ------------------------------------------------------------------ *)
 
-let out_dir () =
-  let dir = "bench_out" in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  dir
-
 let fig9 () =
-  header "E5 / Figure 9: CIF layouts of the five counter implementations";
-  let dir = out_dir () in
+  Harness.header "E5 / Figure 9: CIF layouts of the five counter implementations";
+  let dir = Harness.out_dir () in
   List.iter
     (fun (tag, inst) ->
       let _, cif, _ = Server.request_layout (Lazy.force server) inst.Instance.id () in
@@ -216,7 +208,7 @@ let sized_area ~loads ~cw_bound =
   ((Shape.best_area (Shape.of_netlist sized)).Shape.alt_area, met)
 
 let fig10 () =
-  header "E6 / Figure 10: area/load tradeoff of the up/down counter";
+  Harness.header "E6 / Figure 10: area/load tradeoff of the up/down counter";
   let paper =
     [ (10.0, 33.2); (20.0, 34.5); (30.0, 35.7); (40.0, 35.4); (50.0, 38.5) ]
   in
@@ -255,7 +247,7 @@ let fig10 () =
 (* ------------------------------------------------------------------ *)
 
 let fig11 () =
-  header "E7 / Figure 11: area/clock-width tradeoff of the up/down counter";
+  Harness.header "E7 / Figure 11: area/clock-width tradeoff of the up/down counter";
   let paper = [ (24.0, 30.7); (25.0, 29.0); (27.0, 31.6); (30.0, 32.9) ] in
   let flat =
     Builtin.expand_exn "COUNTER"
@@ -298,9 +290,9 @@ let fig11 () =
 (* ------------------------------------------------------------------ *)
 
 let fig12 () =
-  header "E8 / Figure 12: the same counter laid out in different shapes";
+  Harness.header "E8 / Figure 12: the same counter laid out in different shapes";
   let inst = counter_instance ~ud:3 ~load:1 ~enable:1 () in
-  let dir = out_dir () in
+  let dir = Harness.out_dir () in
   List.iter
     (fun (a : Shape.alternative) ->
       let layout, cif, _ =
@@ -349,7 +341,7 @@ PIIFVARIABLE: S0, S1, N0, N1, FETCH, EXEC, WRITE;
 |}
 
 let fig13 () =
-  header "E9 / Figure 13: two floorplans of a simple computer";
+  Harness.header "E9 / Figure 13: two floorplans of a simple computer";
   print_endline
     "paper: control at left   -> 1558 x 1838 um = 2,863,604 um2 (aspect ~1:1)";
   print_endline
@@ -409,7 +401,7 @@ let fig13 () =
 (* ------------------------------------------------------------------ *)
 
 let tab_instq () =
-  header "E10 / App B §5.3: three_bit_up_down_counter instance query";
+  Harness.header "E10 / App B §5.3: three_bit_up_down_counter instance query";
   print_endline
     "paper: functions LOAD STORE INC DEC | CW 20.3 | WD O[2] 5.6 O[1] 12.3 \
      O[0] 7.8 | SD UPDOWN 100";
@@ -436,7 +428,7 @@ let tab_instq () =
 (* ------------------------------------------------------------------ *)
 
 let tab_connect () =
-  header "E11 / §4.1: connection information of the up/down counter";
+  Harness.header "E11 / §4.1: connection information of the up/down counter";
   print_endline "paper:";
   print_endline "  ## function INC";
   print_endline "  OO is OO high";
@@ -456,7 +448,7 @@ let tab_connect () =
 (* ------------------------------------------------------------------ *)
 
 let ablation () =
-  header "E13 / ablation: the same allocation served three ways (§1 claims)";
+  Harness.header "E13 / ablation: the same allocation served three ways (§1 claims)";
   let s = Server.create () in
   let fixed =
     Fixed_lib.build s [ "counter"; "register"; "adder"; "mux_scl"; "comparator" ]
@@ -504,7 +496,7 @@ let transistors (nl : Icdb_netlist.Netlist.t) =
     0 nl.Icdb_netlist.Netlist.instances
 
 let ablation_synth () =
-  header "ablation: synthesis-flow design choices";
+  Harness.header "ablation: synthesis-flow design choices";
   let designs =
     [ ("alu4", Builtin.expand_exn "ALU" [ ("size", 4) ]);
       ("comparator4", Builtin.expand_exn "COMPARATOR" [ ("size", 4) ]);
@@ -513,7 +505,7 @@ let ablation_synth () =
            ("up_or_down", 3) ]);
       ("multiplier4", Builtin.expand_exn "MULTIPLIER" [ ("size", 4) ]) ]
   in
-  sub "logic optimization and cell library (transistors / gates)";
+  Harness.sub "logic optimization and cell library (transistors / gates)";
   Printf.printf "%-14s | %16s | %16s | %16s\n" "design" "opt+full lib"
     "no-opt+full lib" "no-opt+NAND2/INV";
   List.iter
@@ -540,7 +532,7 @@ let ablation_synth () =
       Printf.printf "%-14s | %16s | %16s | %16s\n" name
         (show (full ())) (show (noopt ())) (show (naive ())))
     designs;
-  sub "controller state encoding (12-step diffeq controller)";
+  Harness.sub "controller state encoding (12-step diffeq controller)";
   let s = Server.create () in
   let sched = Icdb_hls.Schedule.run s Icdb_hls.Dfg.diffeq ~clock:30.0 ~pessimism:1.0 in
   List.iter
@@ -552,7 +544,7 @@ let ablation_synth () =
         i.Instance.report.Sta.clock_width)
     [ ("one-hot", Icdb_hls.Controller.One_hot);
       ("binary", Icdb_hls.Controller.Binary) ];
-  sub "sizing strategy on the 4-bit adder (delay to Cout vs area)";
+  Harness.sub "sizing strategy on the 4-bit adder (delay to Cout vs area)";
   let flat = Builtin.expand_exn "ADDER" [ ("size", 4) ] in
   let nl = synthesize flat in
   List.iter
@@ -573,7 +565,7 @@ let ablation_synth () =
 (* ------------------------------------------------------------------ *)
 
 let hls () =
-  header "HLS / Figure 1: scheduling against ICDB vs a generic library";
+  Harness.header "HLS / Figure 1: scheduling against ICDB vs a generic library";
   print_endline
     "the §2.1 claim: component delay figures let the scheduler chain, \
      multi-cycle and bind correctly; a generic library forces margins";
@@ -614,27 +606,25 @@ let hls () =
 (* ------------------------------------------------------------------ *)
 
 let wallclock () =
-  header "E12 / §4.4 claim: gate-level netlist generation takes under 5 minutes";
-  let t0 = Unix.gettimeofday () in
-  let s = Server.create ~verify:true () in
-  let inst =
-    Server.request_component s
-      (Spec.make
-         (Spec.From_component
-            { component = "counter";
-              attributes =
-                [ ("size", 8); ("type", 2); ("load", 1); ("enable", 1);
-                  ("up_or_down", 3) ];
-              functions = [] }))
+  Harness.header "E12 / §4.4 claim: gate-level netlist generation takes under 5 minutes";
+  let inst, elapsed =
+    Harness.time (fun () ->
+        Server.request_component (Server.create ~verify:true ())
+          (Spec.make
+             (Spec.From_component
+                { component = "counter";
+                  attributes =
+                    [ ("size", 8); ("type", 2); ("load", 1); ("enable", 1);
+                      ("up_or_down", 3) ];
+                  functions = [] })))
   in
-  let t1 = Unix.gettimeofday () in
   Printf.printf
     "8-bit full-featured counter: %d gates generated, verified, timed and \
      shaped in %.2f s (paper: minutes on a 1989 Sun)\n"
-    (Instance.gate_count inst) (t1 -. t0)
+    (Instance.gate_count inst) elapsed
 
 let bechamel () =
-  header "Bechamel micro-benchmarks (generation path stages)";
+  Harness.header "Bechamel micro-benchmarks (generation path stages)";
   let open Bechamel in
   let open Toolkit in
   let counter_design = Parser.parse Builtin.counter in
@@ -711,9 +701,8 @@ let bechamel () =
    trajectory lands in bench_out/BENCH_cache.json so CI can track it
    per PR. ICDB_SMOKE=1 shrinks the sweep for CI smoke runs. *)
 let cache_bench () =
-  header "E16 / cache: warm vs cold request_component";
-  let smoke = Sys.getenv_opt "ICDB_SMOKE" <> None in
-  let warm_reps = if smoke then 20 else 100 in
+  Harness.header "E16 / cache: warm vs cold request_component";
+  let warm_reps = if Harness.smoke then 20 else 100 in
   let counter ?(size = 5) ?(typ = 2) ?(load = 0) ?(enable = 0) ?(ud = 1) () =
     Spec.make
       (Spec.From_component
@@ -734,7 +723,7 @@ let cache_bench () =
       ("adder6", simple "adder" 6);
       ("register8", simple "register" 8) ]
     @
-    if smoke then []
+    if Harness.smoke then []
     else
       [ ("counter8_ripple", counter ~size:8 ~typ:1 ());
         ("comparator6", simple "comparator" 6);
@@ -742,18 +731,15 @@ let cache_bench () =
         ("adder10", simple "adder" 10) ]
   in
   let s = Server.create () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let x = f () in
-    (x, Unix.gettimeofday () -. t0)
-  in
   let rows =
     List.map
       (fun (name, spec) ->
-        let cold_inst, cold = time (fun () -> Server.request_component s spec) in
+        let cold_inst, cold =
+          Harness.time (fun () -> Server.request_component s spec)
+        in
         let warm_inst = ref cold_inst in
         let (), warm_total =
-          time (fun () ->
+          Harness.time (fun () ->
               for _ = 1 to warm_reps do
                 warm_inst := Server.request_component s spec
               done)
@@ -783,36 +769,30 @@ let cache_bench () =
     st.Server.st_entries;
   Printf.printf "shape check: warm >= 10x faster than cold (%b)\n"
     (speedup >= 10.0);
-  let dir = out_dir () in
-  let path = Filename.concat dir "BENCH_cache.json" in
-  Bench_json.write ~path
-    (Bench_json.Obj
-       [ ("experiment", Bench_json.Str "cache");
-         ("smoke", Bench_json.Bool smoke);
-         ("warm_reps", Bench_json.Int warm_reps);
-         ("cold_total_s", Bench_json.float ~prec:6 cold_total);
-         ("warm_per_sweep_s", Bench_json.float ~prec:9 warm_total);
-         ("speedup", Bench_json.float ~prec:1 speedup);
-         ( "per_spec",
-           Bench_json.List
-             (List.map
-                (fun (name, cold, warm) ->
-                  Bench_json.Obj
-                    [ ("name", Bench_json.Str name);
-                      ("cold_s", Bench_json.float ~prec:6 cold);
-                      ("warm_s", Bench_json.float ~prec:9 warm);
-                      ("speedup", Bench_json.float ~prec:1 (cold /. warm)) ])
-                rows) );
-         ( "stats",
-           Bench_json.Obj
-             [ ("hits", Bench_json.Int st.Server.st_hits);
-               ("reuse_hits", Bench_json.Int st.Server.st_reuse_hits);
-               ("misses", Bench_json.Int st.Server.st_misses);
-               ("evictions", Bench_json.Int st.Server.st_evictions);
-               ("entries", Bench_json.Int st.Server.st_entries);
-               ("memo_hits", Bench_json.Int st.Server.st_memo_hits);
-               ("memo_misses", Bench_json.Int st.Server.st_memo_misses) ] ) ]);
-  Printf.printf "trajectory -> %s\n" path
+  Harness.trajectory "cache"
+    [ ("warm_reps", J.Int warm_reps);
+      ("cold_total_s", J.float ~prec:6 cold_total);
+      ("warm_per_sweep_s", J.float ~prec:9 warm_total);
+      ("speedup", J.float ~prec:1 speedup);
+      ( "per_spec",
+        J.List
+          (List.map
+             (fun (name, cold, warm) ->
+               J.Obj
+                 [ ("name", J.Str name);
+                   ("cold_s", J.float ~prec:6 cold);
+                   ("warm_s", J.float ~prec:9 warm);
+                   ("speedup", J.float ~prec:1 (cold /. warm)) ])
+             rows) );
+      ( "stats",
+        J.Obj
+          [ ("hits", J.Int st.Server.st_hits);
+            ("reuse_hits", J.Int st.Server.st_reuse_hits);
+            ("misses", J.Int st.Server.st_misses);
+            ("evictions", J.Int st.Server.st_evictions);
+            ("entries", J.Int st.Server.st_entries);
+            ("memo_hits", J.Int st.Server.st_memo_hits);
+            ("memo_misses", J.Int st.Server.st_memo_misses) ] ) ]
 
 (* ------------------------------------------------------------------ *)
 (* E17 / phases: per-phase latency of the generation path              *)
@@ -826,9 +806,8 @@ let cache_bench () =
    JSON). Exits non-zero if any expected phase span is missing from the
    cold trace, so CI catches instrumentation rot. *)
 let phases_bench () =
-  header "E17 / phases: per-phase latency breakdown of request_component";
-  let smoke = Sys.getenv_opt "ICDB_SMOKE" <> None in
-  let warm_reps = if smoke then 20 else 100 in
+  Harness.header "E17 / phases: per-phase latency breakdown of request_component";
+  let warm_reps = if Harness.smoke then 20 else 100 in
   let spec =
     Spec.make ~target:Spec.Layout
       (Spec.From_component
@@ -847,8 +826,7 @@ let phases_bench () =
     ignore (Server.request_component s spec)
   done;
   Icdb_obs.Trace.set_enabled false;
-  let dir = out_dir () in
-  let trace_path = Filename.concat dir "BENCH_trace.json" in
+  let trace_path = Filename.concat (Harness.out_dir ()) "BENCH_trace.json" in
   Icdb_obs.Trace.write_chrome ~spans:cold_spans trace_path;
   let cold_totals = Icdb_obs.Trace.phase_totals cold_spans in
   let cold_request =
@@ -913,37 +891,31 @@ let phases_bench () =
   let missing =
     List.filter (fun p -> not (List.mem_assoc p cold_totals)) required
   in
-  let path = Filename.concat dir "BENCH_phases.json" in
-  Bench_json.write ~path
-    (Bench_json.Obj
-       [ ("experiment", Bench_json.Str "phases");
-         ("smoke", Bench_json.Bool smoke);
-         ("warm_reps", Bench_json.Int warm_reps);
-         ("cold_request_s", Bench_json.float ~prec:6 cold_request);
-         ("warm_request_p50_s", Bench_json.float ~prec:9 warm_request);
-         ( "cold_phases",
-           Bench_json.List
-             (List.map
-                (fun (name, total) ->
-                  Bench_json.Obj
-                    [ ("name", Bench_json.Str name);
-                      ("total_s", Bench_json.float ~prec:9 total) ])
-                cold_totals) );
-         ( "phase_summaries",
-           Bench_json.List
-             (List.map
-                (fun (x : Icdb_obs.Metrics.summary) ->
-                  Bench_json.Obj
-                    [ ("name", Bench_json.Str x.Icdb_obs.Metrics.s_name);
-                      ("count", Bench_json.Int x.Icdb_obs.Metrics.s_count);
-                      ("p50_s", Bench_json.float ~prec:9 x.Icdb_obs.Metrics.s_p50);
-                      ("p90_s", Bench_json.float ~prec:9 x.Icdb_obs.Metrics.s_p90);
-                      ("p99_s", Bench_json.float ~prec:9 x.Icdb_obs.Metrics.s_p99);
-                      ("sum_s", Bench_json.float ~prec:9 x.Icdb_obs.Metrics.s_sum) ])
-                st.Server.st_phases) );
-         ( "missing_phases",
-           Bench_json.List (List.map (fun p -> Bench_json.Str p) missing) ) ]);
-  Printf.printf "per-phase trajectory -> %s\n" path;
+  Harness.trajectory "phases"
+    [ ("warm_reps", J.Int warm_reps);
+      ("cold_request_s", J.float ~prec:6 cold_request);
+      ("warm_request_p50_s", J.float ~prec:9 warm_request);
+      ( "cold_phases",
+        J.List
+          (List.map
+             (fun (name, total) ->
+               J.Obj
+                 [ ("name", J.Str name);
+                   ("total_s", J.float ~prec:9 total) ])
+             cold_totals) );
+      ( "phase_summaries",
+        J.List
+          (List.map
+             (fun (x : Icdb_obs.Metrics.summary) ->
+               J.Obj
+                 [ ("name", J.Str x.Icdb_obs.Metrics.s_name);
+                   ("count", J.Int x.Icdb_obs.Metrics.s_count);
+                   ("p50_s", J.float ~prec:9 x.Icdb_obs.Metrics.s_p50);
+                   ("p90_s", J.float ~prec:9 x.Icdb_obs.Metrics.s_p90);
+                   ("p99_s", J.float ~prec:9 x.Icdb_obs.Metrics.s_p99);
+                   ("sum_s", J.float ~prec:9 x.Icdb_obs.Metrics.s_sum) ])
+             st.Server.st_phases) );
+      ("missing_phases", J.List (List.map (fun p -> J.Str p) missing)) ];
   Printf.printf "cold span tree -> %s (chrome://tracing / Perfetto)\n"
     trace_path;
   if missing <> [] then begin
@@ -959,78 +931,33 @@ let phases_bench () =
 
 (* The network tentpole's headline measurement: an in-process icdbd on
    an ephemeral port, N client threads each running M CQL queries over
-   their own TCP connection (the client library is call/response and
-   not thread-safe, so one connection per thread mirrors real use).
-   Each client cold-generates one distinct component, then hammers the
-   cache-served query path — so the numbers blend one generation miss
-   per client into a hit-dominated workload, the way a synthesis tool
-   fanning out over a shared daemon would. Reports throughput and the
-   p50/p99 round-trip latency, and lands the trajectory in
-   bench_out/BENCH_serve.json. ICDB_SMOKE=1 shrinks the sweep. *)
+   their own TCP connection. Each client cold-generates one distinct
+   component, then hammers the cache-served query path — so the numbers
+   blend one generation miss per client into a hit-dominated workload,
+   the way a synthesis tool fanning out over a shared daemon would.
+   Reports throughput and the p50/p99 round-trip latency, and lands the
+   trajectory in bench_out/BENCH_serve.json. ICDB_SMOKE=1 shrinks the
+   sweep. *)
 let serve_bench () =
-  header "E18 / serve: icdbd throughput and round-trip latency";
-  let smoke = Sys.getenv_opt "ICDB_SMOKE" <> None in
-  let clients = if smoke then 4 else 8 in
-  let queries = if smoke then 25 else 100 in
-  let sync = Icdb_net.Sync.wrap (Server.create ()) in
-  let config =
-    { Icdb_net.Service.default_config with
-      port = 0;
-      max_connections = clients + 4;
-      workers = 4;
-      max_queue = clients * 4 }
-  in
-  let svc = Icdb_net.Service.start ~config sync in
+  Harness.header "E18 / serve: icdbd throughput and round-trip latency";
+  let clients = if Harness.smoke then 4 else 8 in
+  let queries = if Harness.smoke then 25 else 100 in
+  Harness.with_daemon ~config:(Harness.load_config ~clients) @@ fun _ svc ->
   let port = Icdb_net.Service.port svc in
-  let run_client k =
-    let c = Icdb_net.Client.connect ~port () in
-    let gen =
-      Printf.sprintf
-        "command:request_component; component_name:counter; \
-         attribute:(size:%d); attribute:(type:2); instance:?s"
-        (3 + k)
-    in
-    let hot =
-      [| gen; "command:function_query; function:(INC); component:?s"; gen |]
-    in
-    let lat = Array.make queries 0.0 in
-    for i = 0 to queries - 1 do
-      let text = if i = 0 then gen else hot.(i mod Array.length hot) in
-      let t0 = Unix.gettimeofday () in
-      (match Icdb_net.Client.exec c text with
-      | Ok _ -> ()
-      | Error (_, msg) -> failwith ("serve bench query failed: " ^ msg));
-      lat.(i) <- Unix.gettimeofday () -. t0
-    done;
-    Icdb_net.Client.close c;
-    lat
+  let { Harness.wall_s = wall; lats } =
+    Harness.hot_clients ~port ~clients ~queries ~barrier:false
   in
-  let t0 = Unix.gettimeofday () in
-  (* Thread.join discards results, so each thread writes its own slot *)
-  let slots = Array.make clients [||] in
-  let threads =
-    List.init clients (fun k ->
-        Thread.create (fun () -> slots.(k) <- run_client k) ())
-  in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
-  let lats = Array.concat (Array.to_list (Array.map Array.copy slots)) in
-  Array.sort compare lats;
   let total = Array.length lats in
-  let pct p =
-    if total = 0 then 0.0
-    else
-      let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int total)) in
-      lats.(max 0 (min (total - 1) (rank - 1)))
-  in
-  let p50 = pct 50.0 and p90 = pct 90.0 and p99 = pct 99.0 in
+  let p50 = Harness.percentile lats 50.0
+  and p90 = Harness.percentile lats 90.0
+  and p99 = Harness.percentile lats 99.0 in
+  let max_s = Harness.percentile lats 100.0 in
   let throughput = float_of_int total /. wall in
   Printf.printf
     "%d clients x %d queries = %d requests in %.2f s -> %.0f req/s\n" clients
     queries total wall throughput;
   Printf.printf "round-trip latency: p50 %.2f ms, p90 %.2f ms, p99 %.2f ms, max %.2f ms\n"
-    (p50 *. 1e3) (p90 *. 1e3) (p99 *. 1e3)
-    (if total = 0 then 0.0 else lats.(total - 1) *. 1e3);
+    (p50 *. 1e3) (p90 *. 1e3) (p99 *. 1e3) (max_s *. 1e3);
   Printf.printf "shape checks: all requests answered (%b), p99 >= p50 (%b)\n"
     (total = clients * queries)
     (p99 >= p50);
@@ -1040,16 +967,9 @@ let serve_bench () =
      round trip and one admission decision amortized over the whole
      batch instead of paid per request. Each client still runs the same
      number of queries; only the grouping changes. *)
-  let batch_sizes = if smoke then [ 1; 5; 25 ] else [ 1; 4; 16; 64 ] in
-  let run_batch_client size k =
-    let c = Icdb_net.Client.connect ~port () in
-    let hot =
-      [| Printf.sprintf
-           "command:request_component; component_name:counter; \
-            attribute:(size:%d); attribute:(type:2); instance:?s"
-           (3 + k);
-         "command:function_query; function:(INC); component:?s" |]
-    in
+  let batch_sizes = if Harness.smoke then [ 1; 5; 25 ] else [ 1; 4; 16; 64 ] in
+  let batch_client size k c =
+    let hot = [| Harness.gen_query k; Harness.function_query |] in
     let sent = ref 0 in
     while !sent < queries do
       let n = min size (queries - !sent) in
@@ -1068,61 +988,48 @@ let serve_bench () =
             results
       | Error (_, msg) -> failwith ("serve bench batch failed: " ^ msg));
       sent := !sent + n
-    done;
-    Icdb_net.Client.close c
+    done
   in
   let batch_curve =
     List.map
       (fun size ->
-        let t0 = Unix.gettimeofday () in
-        let threads =
-          List.init clients (fun k ->
-              Thread.create (fun () -> run_batch_client size k) ())
+        let _, bwall =
+          Harness.time (fun () ->
+              Harness.run_clients ~port ~clients (batch_client size))
         in
-        List.iter Thread.join threads;
-        let bwall = Unix.gettimeofday () -. t0 in
         let rps = float_of_int (clients * queries) /. bwall in
         Printf.printf "batch size %3d: %d requests in %.3f s -> %.0f req/s\n"
           size (clients * queries) bwall rps;
         (size, bwall, rps))
       batch_sizes
   in
-  Icdb_net.Service.shutdown svc;
   let batch_rps =
     List.fold_left (fun a (_, _, r) -> Float.max a r) 0.0 batch_curve
   in
   let batch_speedup = if throughput > 0.0 then batch_rps /. throughput else 0.0 in
   Printf.printf "best batched throughput: %.0f req/s (%.2fx the sequential %.0f)\n"
     batch_rps batch_speedup throughput;
-  let dir = out_dir () in
-  let path = Filename.concat dir "BENCH_serve.json" in
-  Bench_json.write ~path
-    (Bench_json.Obj
-       [ ("experiment", Bench_json.Str "serve");
-         ("smoke", Bench_json.Bool smoke);
-         ("clients", Bench_json.Int clients);
-         ("queries_per_client", Bench_json.Int queries);
-         ("total_requests", Bench_json.Int total);
-         ("wall_s", Bench_json.float ~prec:6 wall);
-         ("throughput_rps", Bench_json.float ~prec:1 throughput);
-         ("p50_s", Bench_json.float ~prec:9 p50);
-         ("p90_s", Bench_json.float ~prec:9 p90);
-         ("p99_s", Bench_json.float ~prec:9 p99);
-         ( "max_s",
-           Bench_json.float ~prec:9
-             (if total = 0 then 0.0 else lats.(total - 1)) );
-         ( "batch_curve",
-           Bench_json.List
-             (List.map
-                (fun (size, bwall, rps) ->
-                  Bench_json.Obj
-                    [ ("batch_size", Bench_json.Int size);
-                      ("wall_s", Bench_json.float ~prec:6 bwall);
-                      ("rps", Bench_json.float ~prec:1 rps) ])
-                batch_curve) );
-         ("batch_rps", Bench_json.float ~prec:1 batch_rps);
-         ("batch_speedup", Bench_json.float ~prec:3 batch_speedup) ]);
-  Printf.printf "trajectory -> %s\n" path;
+  Harness.trajectory "serve"
+    [ ("clients", J.Int clients);
+      ("queries_per_client", J.Int queries);
+      ("total_requests", J.Int total);
+      ("wall_s", J.float ~prec:6 wall);
+      ("throughput_rps", J.float ~prec:1 throughput);
+      ("p50_s", J.float ~prec:9 p50);
+      ("p90_s", J.float ~prec:9 p90);
+      ("p99_s", J.float ~prec:9 p99);
+      ("max_s", J.float ~prec:9 max_s);
+      ( "batch_curve",
+        J.List
+          (List.map
+             (fun (size, bwall, rps) ->
+               J.Obj
+                 [ ("batch_size", J.Int size);
+                   ("wall_s", J.float ~prec:6 bwall);
+                   ("rps", J.float ~prec:1 rps) ])
+             batch_curve) );
+      ("batch_rps", J.float ~prec:1 batch_rps);
+      ("batch_speedup", J.float ~prec:3 batch_speedup) ];
   (* the CI gate: batching must actually pay, or the v4 frame is
      overhead masquerading as a feature *)
   if batch_rps <= throughput then begin
@@ -1133,253 +1040,110 @@ let serve_bench () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* E19 / admin: the observability plane's cost on serve throughput     *)
+(* E19 + E22: what an always-on instrument costs the hot serve path    *)
 (* ------------------------------------------------------------------ *)
 
-(* A/B of the E18 workload with the admin endpoint off versus enabled
-   and scraped every 100 ms — the overhead question an operator asks
-   before pointing Prometheus at a production daemon. Each mode takes
-   the best of several runs (throughput benches are noise-limited from
-   below: slow runs measure the machine, fast runs measure the code).
-   Lands bench_out/BENCH_admin.json; the acceptance bar is <= 5%
-   throughput regression with scraping on. *)
-let admin_bench () =
-  header "E19 / admin: serve throughput with /metrics scraped every 100 ms";
-  let smoke = Sys.getenv_opt "ICDB_SMOKE" <> None in
-  let clients = if smoke then 4 else 8 in
+(* One A/B for both: the E18 workload with cold generation kept out of
+   the timed window by the start barrier, a fresh daemon per run. Arm a
+   runs on [tune base false]; arm b runs on [tune base true] plus the
+   instrument [start sync svc] switches on, and the stop it returns
+   reports how often the instrument fired (summed over every b run,
+   warm-up included). A run's cost is seconds per request, and the arms
+   are compared by {!Harness.paired}. The bench exits 1 unless the
+   instrument fired during the load and the median-ratio overhead is at
+   most 5%. Lands bench_out/BENCH_<name>.json. *)
+let hot_overhead ~name ~label ~fired:(fired_key, fired_what) ~period:(period_key, period_s)
+    ~tune ~start =
+  let clients = if Harness.smoke then 4 else 8 in
+  let base = Harness.load_config ~clients in
   (* even the smoke sweep keeps the measured window in the hundreds of
      milliseconds: at ~25k hot req/s, a short sweep would time the
-     scheduler's jitter, not the admin plane *)
-  let queries = if smoke then 1000 else 2000 in
-  (* best-of-5: the comparison is noise-limited from below, and one
-     slow-machine episode in either column would fake a regression *)
-  let runs = 5 in
-  let run_load ~admin () =
-    let sync = Icdb_net.Sync.wrap (Server.create ()) in
-    let config =
-      { Icdb_net.Service.default_config with
-        port = 0;
-        max_connections = clients + 4;
-        workers = 4;
-        max_queue = clients * 4 }
+     scheduler's jitter, not the instrument *)
+  let queries = if Harness.smoke then 1000 else 2000 in
+  let rounds = 8 in
+  let fired = ref 0 in
+  let run on () =
+    Harness.with_daemon ~config:(tune base on) @@ fun sync svc ->
+    let stop = if on then start sync svc else fun () -> 0 in
+    let load =
+      Harness.hot_clients ~port:(Icdb_net.Service.port svc) ~clients ~queries
+        ~barrier:true
     in
-    let svc = Icdb_net.Service.start ~config sync in
-    let port = Icdb_net.Service.port svc in
-    let adm =
-      if admin then
-        Some (Icdb_net.Admin.start ~port:0 ~service:svc ~sync ())
-      else None
-    in
-    let scrapes = ref 0 in
-    let stop_scraper = Atomic.make false in
-    let scraper =
-      Option.map
-        (fun a ->
-          let aport = Icdb_net.Admin.port a in
-          Thread.create
-            (fun () ->
-              while not (Atomic.get stop_scraper) do
-                (match Icdb_obs.Expo.http_get ~port:aport "/metrics" with
-                | 200, body when String.length body > 0 -> incr scrapes
-                | status, _ ->
-                    failwith
-                      (Printf.sprintf "mid-load scrape answered %d" status)
-                | exception Unix.Unix_error _ -> ());
-                Thread.delay 0.1
-              done)
-            ())
-        adm
-    in
-    (* cold generation is excluded from the timed window (its cost is
-       E18's story, and its run-to-run variance would drown a 5%
-       comparison): every client generates its component, parks at the
-       barrier, and only the hit-dominated hot phase is measured *)
-    let ready = Atomic.make 0 in
-    let go = Atomic.make false in
-    let run_client k =
-      let c = Icdb_net.Client.connect ~port () in
-      let gen =
-        Printf.sprintf
-          "command:request_component; component_name:counter; \
-           attribute:(size:%d); attribute:(type:2); instance:?s"
-          (3 + k)
-      in
-      let hot =
-        [| gen; "command:function_query; function:(INC); component:?s"; gen |]
-      in
-      let exec text =
-        match Icdb_net.Client.exec c text with
-        | Ok _ -> ()
-        | Error (_, msg) -> failwith ("admin bench query failed: " ^ msg)
-      in
-      exec gen;
-      Atomic.incr ready;
-      while not (Atomic.get go) do
-        Thread.yield ()
-      done;
-      for i = 0 to queries - 1 do
-        exec hot.(i mod Array.length hot)
-      done;
-      Icdb_net.Client.close c
-    in
-    let threads = List.init clients (fun k -> Thread.create run_client k) in
-    while Atomic.get ready < clients do
-      Thread.yield ()
-    done;
-    let t0 = Unix.gettimeofday () in
-    Atomic.set go true;
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t0 in
-    Atomic.set stop_scraper true;
-    Option.iter Thread.join scraper;
-    Option.iter Icdb_net.Admin.stop adm;
-    Icdb_net.Service.shutdown svc;
-    (float_of_int (clients * queries) /. wall, !scrapes)
+    fired := !fired + stop ();
+    load.Harness.wall_s /. float_of_int (Array.length load.Harness.lats)
   in
-  (* interleave the two modes so slow machine phases (GC, noisy
-     neighbors) bias both sides alike, and keep each mode's best run *)
-  let base_tp = ref 0.0 and admin_tp = ref 0.0 and scrapes = ref 0 in
-  for _ = 1 to runs do
-    let t, _ = run_load ~admin:false () in
-    if t > !base_tp then base_tp := t;
-    let t, s = run_load ~admin:true () in
-    if t > !admin_tp then admin_tp := t;
-    scrapes := !scrapes + s
-  done;
-  let base_tp = !base_tp and admin_tp = !admin_tp and scrapes = !scrapes in
-  let overhead_pct = (base_tp -. admin_tp) /. base_tp *. 100.0 in
-  Printf.printf "admin off:  %.0f req/s (best of %d)\n" base_tp runs;
-  Printf.printf "admin on:   %.0f req/s (best of %d, %d scrapes landed)\n"
-    admin_tp runs scrapes;
-  Printf.printf "overhead:   %.1f%%\n" overhead_pct;
-  Printf.printf
-    "shape checks: scrapes landed mid-load (%b), overhead <= 5%% (%b)\n"
-    (scrapes > 0) (overhead_pct <= 5.0);
-  let dir = out_dir () in
-  let path = Filename.concat dir "BENCH_admin.json" in
-  Bench_json.write ~path
-    (Bench_json.Obj
-       [ ("experiment", Bench_json.Str "admin");
-         ("smoke", Bench_json.Bool smoke);
-         ("clients", Bench_json.Int clients);
-         ("queries_per_client", Bench_json.Int queries);
-         ("runs_per_mode", Bench_json.Int runs);
-         ("scrape_interval_s", Bench_json.float ~prec:3 0.1);
-         ("baseline_rps", Bench_json.float ~prec:1 base_tp);
-         ("admin_rps", Bench_json.float ~prec:1 admin_tp);
-         ("scrapes", Bench_json.Int scrapes);
-         ("overhead_pct", Bench_json.float ~prec:2 overhead_pct) ]);
-  Printf.printf "trajectory -> %s\n" path
+  let r = Harness.paired ~rounds (run false) (run true) in
+  let base_rps = 1.0 /. r.Harness.a_min and on_rps = 1.0 /. r.Harness.b_min in
+  let overhead_pct = (r.Harness.median_ratio -. 1.0) *. 100.0 in
+  Printf.printf "%s off: %.0f req/s (best of %d paired rounds)\n" label
+    base_rps rounds;
+  Printf.printf "%s on:  %.0f req/s (best of %d paired rounds, %d %s)\n"
+    label on_rps rounds !fired fired_what;
+  Printf.printf "overhead: %.1f%% (median of per-round ratios)\n" overhead_pct;
+  Harness.trajectory name
+    [ ("clients", J.Int clients);
+      ("queries_per_client", J.Int queries);
+      ("runs_per_mode", J.Int rounds);
+      (period_key, J.float ~prec:3 period_s);
+      ("baseline_rps", J.float ~prec:1 base_rps);
+      (name ^ "_rps", J.float ~prec:1 on_rps);
+      (fired_key, J.Int !fired);
+      ("overhead_pct", J.float ~prec:2 overhead_pct);
+      ("rounds", J.Int rounds);
+      ("median_ratio", J.float ~prec:4 r.Harness.median_ratio) ];
+  if !fired = 0 then begin
+    Printf.eprintf "%s gate FAILED: no %s during the load\n" name fired_what;
+    exit 1
+  end;
+  if overhead_pct > 5.0 then begin
+    Printf.eprintf "%s gate FAILED: overhead %.1f%% > 5%%\n" name overhead_pct;
+    exit 1
+  end
 
-(* ------------------------------------------------------------------ *)
-(* E22 / telemetry: sampler overhead on the hot serve path             *)
-(* ------------------------------------------------------------------ *)
+(* E19: the E18 workload with the admin endpoint off versus enabled and
+   scraped every 100 ms — the overhead question an operator asks before
+   pointing Prometheus at a production daemon. *)
+let admin_bench () =
+  Harness.header "E19 / admin: serve throughput with /metrics scraped every 100 ms";
+  let interval = 0.1 in
+  let scrape sync svc =
+    let adm = Icdb_net.Admin.start ~port:0 ~service:svc ~sync () in
+    let port = Icdb_net.Admin.port adm in
+    let scrapes = ref 0 in
+    let stop =
+      Harness.every ~period_s:interval (fun () ->
+          match Icdb_obs.Expo.http_get ~port "/metrics" with
+          | 200, body when String.length body > 0 -> incr scrapes
+          | status, _ ->
+              failwith (Printf.sprintf "mid-load scrape answered %d" status)
+          | exception Unix.Unix_error _ -> ())
+    in
+    fun () ->
+      stop ();
+      Icdb_net.Admin.stop adm;
+      !scrapes
+  in
+  hot_overhead ~name:"admin" ~label:"admin"
+    ~fired:("scrapes", "scrapes landed")
+    ~period:("scrape_interval_s", interval)
+    ~tune:(fun config _ -> config) ~start:scrape
 
-(* The continuous-telemetry sampler runs always-on in production, so
-   its cost must be within noise of zero on the hot serve workload —
-   the same A/B discipline as E19's admin bench, with the sampler
-   deliberately run at 20 Hz (50 ms), 20x the 1 s production default,
-   so the measured bound is a hard ceiling on the default's cost.
-   Lands bench_out/BENCH_telemetry.json. *)
+(* E22: the continuous-telemetry sampler runs always-on in production,
+   so its cost must be within noise of zero on the hot serve workload.
+   It runs here at 20 Hz (50 ms), 20x the 1 s production default, so the
+   measured bound is a hard ceiling on the default's cost. *)
 let telemetry_bench () =
-  header "E22 / telemetry: serve throughput with the 20 Hz sampler on vs off";
-  let smoke = Sys.getenv_opt "ICDB_SMOKE" <> None in
-  let clients = if smoke then 4 else 8 in
-  let queries = if smoke then 1000 else 2000 in
-  let runs = 5 in
-  let sampler_period = 0.05 in
-  let run_load ~telemetry () =
-    let sync = Icdb_net.Sync.wrap (Server.create ()) in
-    let config =
-      { Icdb_net.Service.default_config with
-        port = 0;
-        max_connections = clients + 4;
-        workers = 4;
-        max_queue = clients * 4;
-        telemetry_period_s = (if telemetry then sampler_period else 0.0) }
-    in
-    let svc = Icdb_net.Service.start ~config sync in
-    let port = Icdb_net.Service.port svc in
-    (* the barrier keeps cold generation out of the timed window, as in
-       E19: clients generate, park, and only the hot phase is measured *)
-    let ready = Atomic.make 0 in
-    let go = Atomic.make false in
-    let run_client k =
-      let c = Icdb_net.Client.connect ~port () in
-      let gen =
-        Printf.sprintf
-          "command:request_component; component_name:counter; \
-           attribute:(size:%d); attribute:(type:2); instance:?s"
-          (3 + k)
-      in
-      let hot =
-        [| gen; "command:function_query; function:(INC); component:?s"; gen |]
-      in
-      let exec text =
-        match Icdb_net.Client.exec c text with
-        | Ok _ -> ()
-        | Error (_, msg) -> failwith ("telemetry bench query failed: " ^ msg)
-      in
-      exec gen;
-      Atomic.incr ready;
-      while not (Atomic.get go) do
-        Thread.yield ()
-      done;
-      for i = 0 to queries - 1 do
-        exec hot.(i mod Array.length hot)
-      done;
-      Icdb_net.Client.close c
-    in
-    let threads = List.init clients (fun k -> Thread.create run_client k) in
-    while Atomic.get ready < clients do
-      Thread.yield ()
-    done;
-    let t0 = Unix.gettimeofday () in
-    Atomic.set go true;
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t0 in
-    let samples =
+  Harness.header "E22 / telemetry: serve throughput with the 20 Hz sampler on vs off";
+  let period = 0.05 in
+  hot_overhead ~name:"telemetry" ~label:"sampler"
+    ~fired:("sampler_ticks", "sampler ticks")
+    ~period:("sampler_period_s", period)
+    ~tune:(fun config on ->
+      { config with telemetry_period_s = (if on then period else 0.0) })
+    ~start:(fun _ svc () ->
       match Icdb_net.Service.sampler svc with
       | Some s -> Icdb_obs.Series.total_ticks s
-      | None -> 0
-    in
-    Icdb_net.Service.shutdown svc;
-    (float_of_int (clients * queries) /. wall, samples)
-  in
-  (* interleaved best-of-N, as in E19: slow machine phases bias both
-     columns alike, and each column keeps its best run *)
-  let base_tp = ref 0.0 and telem_tp = ref 0.0 and samples = ref 0 in
-  for _ = 1 to runs do
-    let t, _ = run_load ~telemetry:false () in
-    if t > !base_tp then base_tp := t;
-    let t, s = run_load ~telemetry:true () in
-    if t > !telem_tp then telem_tp := t;
-    samples := !samples + s
-  done;
-  let base_tp = !base_tp and telem_tp = !telem_tp and samples = !samples in
-  let overhead_pct = (base_tp -. telem_tp) /. base_tp *. 100.0 in
-  Printf.printf "sampler off: %.0f req/s (best of %d)\n" base_tp runs;
-  Printf.printf "sampler on:  %.0f req/s (best of %d, %d ticks sampled)\n"
-    telem_tp runs samples;
-  Printf.printf "overhead:    %.1f%%\n" overhead_pct;
-  Printf.printf
-    "shape checks: sampler ticked mid-load (%b), overhead <= 5%% (%b)\n"
-    (samples > 0) (overhead_pct <= 5.0);
-  let dir = out_dir () in
-  let path = Filename.concat dir "BENCH_telemetry.json" in
-  Bench_json.write ~path
-    (Bench_json.Obj
-       [ ("experiment", Bench_json.Str "telemetry");
-         ("smoke", Bench_json.Bool smoke);
-         ("clients", Bench_json.Int clients);
-         ("queries_per_client", Bench_json.Int queries);
-         ("runs_per_mode", Bench_json.Int runs);
-         ("sampler_period_s", Bench_json.float ~prec:3 sampler_period);
-         ("baseline_rps", Bench_json.float ~prec:1 base_tp);
-         ("telemetry_rps", Bench_json.float ~prec:1 telem_tp);
-         ("sampler_ticks", Bench_json.Int samples);
-         ("overhead_pct", Bench_json.float ~prec:2 overhead_pct) ]);
-  Printf.printf "trajectory -> %s\n" path
+      | None -> 0)
 
 (* ------------------------------------------------------------------ *)
 (* E20 / repl: follower catch-up rate and propagation lag              *)
@@ -1390,96 +1154,109 @@ let telemetry_bench () =
    replay), and how long a single committed write takes to become
    visible on a caught-up follower (bounded from below by the
    publisher's 50 ms poll). Lands bench_out/BENCH_repl.json.
-   ICDB_SMOKE=1 shrinks the backlog. *)
+   ICDB_SMOKE=1 shrinks the backlog. A follower that stalls for 30 s
+   short of the primary's cursor fails the bench. *)
 let repl_bench () =
-  header "E20 / repl: follower catch-up throughput and propagation lag";
-  let smoke = Sys.getenv_opt "ICDB_SMOKE" <> None in
-  let backlog = if smoke then 8 else 40 in
-  let probes = if smoke then 5 else 20 in
-  let sync = Icdb_net.Sync.wrap (Server.create ~verify:false ~durable:true ()) in
-  let svc =
-    Icdb_net.Service.start
-      ~config:{ Icdb_net.Service.default_config with port = 0 }
-      sync
+  Harness.header "E20 / repl: follower catch-up throughput and propagation lag";
+  let backlog = if Harness.smoke then 8 else 40 in
+  let probes = if Harness.smoke then 5 else 20 in
+  let stall_s = 30.0 in
+  let server = Server.create ~verify:false ~durable:true () in
+  let target, catchup_wall, lags, caught_up =
+    Harness.with_daemon ~server ~config:Icdb_net.Service.default_config
+    @@ fun sync svc ->
+    (* distinct spec per call — a reuse-cache hit writes no journal
+       record and would make the follower look infinitely fast *)
+    let comps = [| "counter"; "adder"; "register"; "comparator" |] in
+    let gen k =
+      ignore
+        (Icdb_net.Sync.with_server sync (fun s ->
+             Server.request_component s
+               (Spec.make
+                  (Spec.From_component
+                     { component = comps.(k mod 4);
+                       attributes = [ ("size", 2 + (k / 4)) ];
+                       functions = [] }))))
+    in
+    let primary_next () =
+      Icdb_net.Sync.with_server sync (fun s ->
+          match Icdb_reldb.Db.journal (Server.db s) with
+          | Some j -> Icdb_reldb.Journal.next_seq j
+          | None -> 0)
+    in
+    (* backlog first, so catch-up measures streaming + replay, not
+       generation *)
+    for k = 0 to backlog - 1 do gen k done;
+    let target = primary_next () in
+    let ws = Filename.temp_file "icdb_bench_repl" "" in
+    Sys.remove ws;
+    let rcfg =
+      { Icdb_net.Replica.default_config with port = Icdb_net.Service.port svc }
+    in
+    let t0 = Harness.now () in
+    let replica = Icdb_net.Replica.create ~config:rcfg ~workspace:ws () in
+    Icdb_net.Replica.run replica;
+    let wait_for goal =
+      let cursor () = Icdb_net.Replica.cursor replica in
+      if
+        not
+          (Harness.wait_until ~deadline:(Harness.now () +. stall_s) (fun () ->
+               cursor () >= goal))
+      then begin
+        Printf.eprintf
+          "repl gate FAILED: follower cursor %d short of goal %d after %.0f s\n"
+          (cursor ()) goal stall_s;
+        exit 1
+      end
+    in
+    wait_for target;
+    let catchup_wall = Harness.now () -. t0 in
+    (* then single-record propagation on the live stream *)
+    let lags =
+      Array.init probes (fun i ->
+          gen (backlog + i);
+          (* clock starts once the write is committed on the primary:
+             the lag measured is the stream's, not the synthesis
+             pipeline's *)
+          snd (Harness.time (fun () -> wait_for (primary_next ()))))
+    in
+    Icdb_net.Replica.stop replica;
+    (target, catchup_wall, lags, Icdb_net.Replica.cursor replica >= target)
   in
-  let port = Icdb_net.Service.port svc in
-  (* distinct spec per call — a reuse-cache hit writes no journal
-     record and would make the follower look infinitely fast *)
-  let comps = [| "counter"; "adder"; "register"; "comparator" |] in
-  let gen k =
-    ignore
-      (Icdb_net.Sync.with_server sync (fun s ->
-           Server.request_component s
-             (Spec.make
-                (Spec.From_component
-                   { component = comps.(k mod 4);
-                     attributes = [ ("size", 2 + (k / 4)) ];
-                     functions = [] }))))
-  in
-  let primary_next () =
-    Icdb_net.Sync.with_server sync (fun s ->
-        match Icdb_reldb.Db.journal (Server.db s) with
-        | Some j -> Icdb_reldb.Journal.next_seq j
-        | None -> 0)
-  in
-  (* backlog first, so catch-up measures streaming + replay, not
-     generation *)
-  for k = 0 to backlog - 1 do gen k done;
-  let target = primary_next () in
-  let ws = Filename.temp_file "icdb_bench_repl" "" in
-  Sys.remove ws;
-  let rcfg = { Icdb_net.Replica.default_config with port } in
-  let t0 = Unix.gettimeofday () in
-  let replica = Icdb_net.Replica.create ~config:rcfg ~workspace:ws () in
-  Icdb_net.Replica.run replica;
-  let wait_until goal =
-    while Icdb_net.Replica.cursor replica < goal do
-      Thread.yield ();
-      Unix.sleepf 0.002
-    done
-  in
-  wait_until target;
-  let catchup_wall = Unix.gettimeofday () -. t0 in
   let catchup_rate = float_of_int target /. catchup_wall in
-  (* then single-record propagation on the live stream *)
-  let lags = Array.make probes 0.0 in
-  for i = 0 to probes - 1 do
-    gen (backlog + i);
-    (* clock starts once the write is committed on the primary: the lag
-       measured is the stream's, not the synthesis pipeline's *)
-    let t0 = Unix.gettimeofday () in
-    wait_until (primary_next ());
-    lags.(i) <- Unix.gettimeofday () -. t0
-  done;
-  Icdb_net.Replica.stop replica;
-  Icdb_net.Service.shutdown svc;
   Array.sort compare lags;
-  let p50 = lags.(probes / 2) and worst = lags.(probes - 1) in
+  let p50 = Harness.percentile lags 50.0
+  and worst = Harness.percentile lags 100.0 in
   Printf.printf "catch-up: %d records in %.3f s -> %.0f records/s\n" target
     catchup_wall catchup_rate;
   Printf.printf
     "propagation (generate -> visible on follower): p50 %.1f ms, max %.1f ms\n"
     (p50 *. 1e3) (worst *. 1e3);
   Printf.printf "shape checks: follower caught up (%b), p50 <= max (%b)\n"
-    (Icdb_net.Replica.cursor replica >= target)
-    (p50 <= worst);
-  let dir = out_dir () in
-  let path = Filename.concat dir "BENCH_repl.json" in
-  Bench_json.write ~path
-    (Bench_json.Obj
-       [ ("experiment", Bench_json.Str "repl");
-         ("smoke", Bench_json.Bool smoke);
-         ("backlog_records", Bench_json.Int target);
-         ("catchup_wall_s", Bench_json.float ~prec:6 catchup_wall);
-         ("catchup_records_per_s", Bench_json.float ~prec:1 catchup_rate);
-         ("probes", Bench_json.Int probes);
-         ("propagation_p50_s", Bench_json.float ~prec:6 p50);
-         ("propagation_max_s", Bench_json.float ~prec:6 worst) ]);
-  Printf.printf "trajectory -> %s\n" path
+    caught_up (p50 <= worst);
+  Harness.trajectory "repl"
+    [ ("backlog_records", J.Int target);
+      ("catchup_wall_s", J.float ~prec:6 catchup_wall);
+      ("catchup_records_per_s", J.float ~prec:1 catchup_rate);
+      ("probes", J.Int probes);
+      ("propagation_p50_s", J.float ~prec:6 p50);
+      ("propagation_max_s", J.float ~prec:6 worst) ]
 
 (* ------------------------------------------------------------------ *)
 (* E23 / explore: DSE sweep throughput + indexed Pareto vs scan        *)
 (* ------------------------------------------------------------------ *)
+
+(* A SQL result as comparable text: one line per row, fields joined by
+   '|', so "byte-identical rows" is a string comparison. *)
+let render_rows = function
+  | Icdb_reldb.Sql.Relation rel ->
+      String.concat "\n"
+        (List.map
+           (fun row ->
+             String.concat "|"
+               (Array.to_list (Array.map Icdb_reldb.Value.to_string row)))
+           rel.Icdb_reldb.Query.rrows)
+  | Icdb_reldb.Sql.Affected _ -> "affected"
 
 (* Two halves. First the real thing: a design-space sweep through
    Icdb_explore.Driver against a local server, persisted into a journaled
@@ -1491,16 +1268,13 @@ let repl_bench () =
    at least 5x faster. Both gates exit non-zero so CI can hold the
    line. *)
 let explore_bench () =
-  header "E23 / explore: design-space sweep + indexed Pareto queries";
-  let smoke = Sys.getenv_opt "ICDB_SMOKE" <> None in
+  Harness.header "E23 / explore: design-space sweep + indexed Pareto queries";
   let module Ax = Icdb_explore.Axis in
   let module St = Icdb_explore.Store in
   let module Dr = Icdb_explore.Driver in
   let module R = Icdb_reldb in
-  let dir = out_dir () in
-
-  sub "sweep throughput (local backend, journaled store)";
-  let store_dir = Filename.concat dir "explore_store" in
+  Harness.sub "sweep throughput (local backend, journaled store)";
+  let store_dir = Filename.concat (Harness.out_dir ()) "explore_store" in
   (* cold start: a stale store would turn the sweep into a no-op *)
   List.iter
     (fun f ->
@@ -1508,7 +1282,7 @@ let explore_bench () =
       if Sys.file_exists p then Sys.remove p)
     [ "explore.db"; "explore.journal" ];
   let axes =
-    if smoke then
+    if Harness.smoke then
       [ Ax.parse "size=2..9"; Ax.parse "strategy=fastest,cheapest,balanced";
         Ax.parse "clock=20,none" ]
     else
@@ -1519,9 +1293,9 @@ let explore_bench () =
   let sweep = "bench" in
   let sweep_server = Server.create ~verify:false () in
   let store = St.open_ store_dir in
-  let t0 = Unix.gettimeofday () in
-  let s = Dr.run ~sweep (Dr.Local sweep_server) store points in
-  let sweep_wall = Unix.gettimeofday () -. t0 in
+  let s, sweep_wall =
+    Harness.time (fun () -> Dr.run ~sweep (Dr.Local sweep_server) store points)
+  in
   let rate = float_of_int s.Dr.s_executed /. sweep_wall in
   Printf.printf "swept %d points in %.2fs (%.1f points/s), %d failed\n"
     s.Dr.s_executed sweep_wall rate
@@ -1537,8 +1311,8 @@ let explore_bench () =
     exit 1
   end;
 
-  sub "indexed PARETO vs scan (synthetic exploration relation)";
-  let rows = if smoke then 10_000 else 40_000 in
+  Harness.sub "indexed PARETO vs scan (synthetic exploration relation)";
+  let rows = if Harness.smoke then 10_000 else 40_000 in
   let sweeps = 16 in
   let db = R.Db.create () in
   let tbl = R.Db.create_table db St.table_name St.schema in
@@ -1560,24 +1334,16 @@ let explore_bench () =
     Printf.sprintf "PARETO %s ON area, delay WHERE sweep = %s" St.table_name
       (R.Sql.quote_string "sweep_7")
   in
-  let render = function
-    | R.Sql.Relation rel ->
-        String.concat "\n"
-          (List.map
-             (fun row ->
-               String.concat "|"
-                 (Array.to_list (Array.map R.Value.to_string row)))
-             rel.R.Query.rrows)
-    | R.Sql.Affected _ -> "affected"
-  in
-  let reps = if smoke then 20 else 40 in
+  let reps = if Harness.smoke then 20 else 40 in
   let measure () =
     let out = ref "" in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      out := render (R.Sql.exec db stmt)
-    done;
-    ((Unix.gettimeofday () -. t0) /. float_of_int reps, !out)
+    let (), total =
+      Harness.time (fun () ->
+          for _ = 1 to reps do
+            out := render_rows (R.Sql.exec db stmt)
+          done)
+    in
+    (total /. float_of_int reps, !out)
   in
   let scan_s, scan_out = measure () in
   (match R.Sql.exec db (Printf.sprintf "CREATE INDEX ON %s (sweep)" St.table_name) with
@@ -1600,22 +1366,16 @@ let explore_bench () =
       speedup rows;
     exit 1
   end;
-
-  let path = Filename.concat dir "BENCH_explore.json" in
-  Bench_json.write ~path
-    (Bench_json.Obj
-       [ ("experiment", Bench_json.Str "explore");
-         ("smoke", Bench_json.Bool smoke);
-         ("sweep_points", Bench_json.Int s.Dr.s_executed);
-         ("sweep_wall_s", Bench_json.float ~prec:3 sweep_wall);
-         ("sweep_points_per_s", Bench_json.float ~prec:1 rate);
-         ("resume_reexecuted", Bench_json.Int s2.Dr.s_executed);
-         ("pareto_rows", Bench_json.Int rows);
-         ("pareto_scan_s", Bench_json.float ~prec:6 scan_s);
-         ("pareto_indexed_s", Bench_json.float ~prec:6 indexed_s);
-         ("pareto_speedup", Bench_json.float ~prec:1 speedup);
-         ("results_identical", Bench_json.Bool identical) ]);
-  Printf.printf "trajectory -> %s\n" path
+  Harness.trajectory "explore"
+    [ ("sweep_points", J.Int s.Dr.s_executed);
+      ("sweep_wall_s", J.float ~prec:3 sweep_wall);
+      ("sweep_points_per_s", J.float ~prec:1 rate);
+      ("resume_reexecuted", J.Int s2.Dr.s_executed);
+      ("pareto_rows", J.Int rows);
+      ("pareto_scan_s", J.float ~prec:6 scan_s);
+      ("pareto_indexed_s", J.float ~prec:6 indexed_s);
+      ("pareto_speedup", J.float ~prec:1 speedup);
+      ("results_identical", J.Bool identical) ]
 
 (* ------------------------------------------------------------------ *)
 (* E24 / queryobs: EXPLAIN ANALYZE overhead + stats-driven index pick  *)
@@ -1630,11 +1390,9 @@ let explore_bench () =
    the smaller bucket — asserted from the per-index hit counters, with
    the rows byte-identical to an unindexed scan of the same data. *)
 let queryobs_bench () =
-  header "E24 / queryobs: EXPLAIN ANALYZE overhead + stats-driven index pick";
-  let smoke = Sys.getenv_opt "ICDB_SMOKE" <> None in
+  Harness.header "E24 / queryobs: EXPLAIN ANALYZE overhead + stats-driven index pick";
   let module R = Icdb_reldb in
-  let dir = out_dir () in
-  let rows = if smoke then 10_000 else 40_000 in
+  let rows = if Harness.smoke then 10_000 else 40_000 in
   let groups = 2 in
   let keys = rows / 40 in
   let schema =
@@ -1652,51 +1410,22 @@ let queryobs_bench () =
   in
   let db = R.Db.create () in
   let _ = fill db in
-  let render = function
-    | R.Sql.Relation rel ->
-        String.concat "\n"
-          (List.map
-             (fun row ->
-               String.concat "|"
-                 (Array.to_list (Array.map R.Value.to_string row)))
-             rel.R.Query.rrows)
-    | R.Sql.Affected _ -> "affected"
-  in
 
-  sub "EXPLAIN ANALYZE overhead (scan-shaped SELECT)";
+  Harness.sub "EXPLAIN ANALYZE overhead (scan-shaped SELECT)";
   (* a scan with a refilter: enough work per call that the per-node
      clocks and counters are measured against a realistic statement,
      not an empty one *)
   let stmt = "SELECT key, val FROM skewed WHERE grp = 'g1' LIMIT 64" in
-  let reps = if smoke then 100 else 60 in
-  let batch stmt =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do ignore (R.Sql.exec db stmt) done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
+  let reps = if Harness.smoke then 100 else 60 in
+  let batch stmt () =
+    let (), total =
+      Harness.time (fun () -> for _ = 1 to reps do ignore (R.Sql.exec db stmt) done)
+    in
+    total /. float_of_int reps
   in
-  (* paired rounds, median ratio: the two arms run back-to-back inside
-     each round, so machine-level drift (frequency scaling, contending
-     load) hits both and cancels in the per-round ratio; the median of
-     the ratios is then robust to the odd slow round, where per-arm
-     minima taken independently are not *)
-  let rounds = 8 in
-  let plain_s = ref infinity and analyze_s = ref infinity in
-  ignore (batch stmt);
-  ignore (batch ("EXPLAIN ANALYZE " ^ stmt));
-  let ratios =
-    List.init rounds (fun _ ->
-        let p = batch stmt in
-        let a = batch ("EXPLAIN ANALYZE " ^ stmt) in
-        plain_s := Float.min !plain_s p;
-        analyze_s := Float.min !analyze_s a;
-        a /. p)
-  in
-  let sorted = List.sort compare ratios in
-  let median =
-    (List.nth sorted ((rounds - 1) / 2) +. List.nth sorted (rounds / 2)) /. 2.0
-  in
-  let plain_s = !plain_s and analyze_s = !analyze_s in
-  let overhead_pct = (median -. 1.0) *. 100.0 in
+  let r = Harness.paired ~rounds:8 (batch stmt) (batch ("EXPLAIN ANALYZE " ^ stmt)) in
+  let plain_s = r.Harness.a_min and analyze_s = r.Harness.b_min in
+  let overhead_pct = (r.Harness.median_ratio -. 1.0) *. 100.0 in
   Printf.printf
     "%d rows: plain %.3f ms, explain-analyze %.3f ms, overhead %.1f%%\n" rows
     (plain_s *. 1e3) (analyze_s *. 1e3) overhead_pct;
@@ -1707,7 +1436,7 @@ let queryobs_bench () =
     exit 1
   end;
 
-  sub "statistics-driven index choice (skewed selectivities)";
+  Harness.sub "statistics-driven index choice (skewed selectivities)";
   (* both columns indexed: grp buckets hold rows/2 entries, key buckets
      rows/keys — statistics must send the probe through key *)
   ignore (R.Sql.exec db "CREATE INDEX ON skewed (grp)");
@@ -1719,10 +1448,10 @@ let queryobs_bench () =
       (Icdb_obs.Metrics.counter (Printf.sprintf "reldb.index.skewed.%s.hits" col))
   in
   let key_before = hits "key" and grp_before = hits "grp" in
-  let indexed_out = render (R.Sql.exec db probe) in
+  let indexed_out = render_rows (R.Sql.exec db probe) in
   let key_hits = hits "key" - key_before
   and grp_hits = hits "grp" - grp_before in
-  let plan_text = render (R.Sql.exec db ("EXPLAIN ANALYZE " ^ probe)) in
+  let plan_text = render_rows (R.Sql.exec db ("EXPLAIN ANALYZE " ^ probe)) in
   let contains needle hay =
     let nn = String.length needle and nh = String.length hay in
     let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
@@ -1733,7 +1462,7 @@ let queryobs_bench () =
      a code path sharing the probe *)
   let db_scan = R.Db.create () in
   let _ = fill db_scan in
-  let scan_out = render (R.Sql.exec db_scan probe) in
+  let scan_out = render_rows (R.Sql.exec db_scan probe) in
   let identical = String.equal indexed_out scan_out in
   Printf.printf
     "probe hits: key +%d, grp +%d; plan uses stats: %b; results identical: %b\n"
@@ -1757,20 +1486,14 @@ let queryobs_bench () =
     Printf.eprintf "queryobs gate FAILED: indexed probe differs from scan\n";
     exit 1
   end;
-
-  let path = Filename.concat dir "BENCH_queryobs.json" in
-  Bench_json.write ~path
-    (Bench_json.Obj
-       [ ("experiment", Bench_json.Str "queryobs");
-         ("smoke", Bench_json.Bool smoke);
-         ("rows", Bench_json.Int rows);
-         ("plain_s", Bench_json.float ~prec:6 plain_s);
-         ("explain_analyze_s", Bench_json.float ~prec:6 analyze_s);
-         ("overhead_pct", Bench_json.float ~prec:1 overhead_pct);
-         ("key_index_hits", Bench_json.Int key_hits);
-         ("grp_index_hits", Bench_json.Int grp_hits);
-         ("results_identical", Bench_json.Bool identical) ]);
-  Printf.printf "trajectory -> %s\n" path
+  Harness.trajectory "queryobs"
+    [ ("rows", J.Int rows);
+      ("plain_s", J.float ~prec:6 plain_s);
+      ("explain_analyze_s", J.float ~prec:6 analyze_s);
+      ("overhead_pct", J.float ~prec:1 overhead_pct);
+      ("key_index_hits", J.Int key_hits);
+      ("grp_index_hits", J.Int grp_hits);
+      ("results_identical", J.Bool identical) ]
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)

@@ -25,8 +25,6 @@ let kind_to_string = function
 let fault kind fmt =
   Printf.ksprintf (fun s -> raise (Fault (kind, s))) fmt
 
-let is_transient = function Fault (Transient, _) -> true | _ -> false
-
 (* Bounded retry for transient faults only: every other exception
    propagates on the first throw. [on_retry] (attempt number, message)
    lets callers log the degradation trail. *)

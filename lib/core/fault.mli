@@ -17,8 +17,6 @@ val kind_to_string : kind -> string
 val fault : kind -> ('a, unit, string, 'b) format4 -> 'a
 (** [fault kind fmt ...] raises {!Fault}. *)
 
-val is_transient : exn -> bool
-
 val with_retry :
   ?attempts:int -> ?on_retry:(int -> string -> unit) -> (unit -> 'a) -> 'a
 (** Run [f], retrying up to [attempts] total tries as long as it raises

@@ -8,7 +8,7 @@
    dying mid-operation — tests catch it, abandon the server value, and
    assert that [Server.reopen] restores a consistent state).
 
-   Sites can be armed programmatically ([arm]/[disarm]) or through the
+   Sites can be armed programmatically ([arm], [reset]) or through the
    ICDB_FAULT environment variable, e.g.
 
      ICDB_FAULT="file_write:crash:2"        crash on the 2nd file write
@@ -55,15 +55,9 @@ let site_of_string = function
   | "loop_stall" -> Some Loop_stall
   | _ -> None
 
-let all_sites =
-  [ File_write; Journal_append; Expand; Techmap; Sizing; Journal_stream;
-    Repl_replay; Loop_stall ]
-
 let armed : (site, mode * int ref) Hashtbl.t = Hashtbl.create 8
 
 let arm site mode = Hashtbl.replace armed site (mode, ref 0)
-
-let disarm site = Hashtbl.remove armed site
 
 let reset () = Hashtbl.reset armed
 

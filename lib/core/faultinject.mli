@@ -29,12 +29,10 @@ exception Crash of site
 
 val site_to_string : site -> string
 val site_of_string : string -> site option
-val all_sites : site list
 
 val arm : site -> mode -> unit
 (** Arm a site, resetting its hit counter. *)
 
-val disarm : site -> unit
 val reset : unit -> unit
 (** Disarm every site. *)
 

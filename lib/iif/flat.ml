@@ -76,12 +76,6 @@ let uniq names =
       else begin Hashtbl.add seen n (); true end)
     names
 
-(* All nets referenced anywhere in the design. *)
-let all_nets t =
-  uniq
-    (t.finputs @ t.foutputs @ t.finternals
-    @ List.concat_map (fun eq -> target_of eq :: equation_nets eq) t.fequations)
-
 type problem =
   | Undriven of string       (* output or used net with no equation *)
   | Multiple_driver of string

@@ -56,8 +56,6 @@ val equation_nets : equation -> string list
 val uniq : string list -> string list
 (** Order-preserving deduplication. *)
 
-val all_nets : t -> string list
-
 type problem =
   | Undriven of string
   | Multiple_driver of string

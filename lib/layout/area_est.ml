@@ -80,9 +80,3 @@ let estimate ?(seed = 1) (nl : Netlist.t) ~strips =
     +. (float_of_int (strips + 1) *. rail_height)
   in
   { strips; width; height; area = width *. height; tracks }
-
-(* The interactive listing of Appendix B §5.3:
-     strip = 1 width = 12 height = 7 area = 84 ... *)
-let estimate_to_string e =
-  Printf.sprintf "strip = %d width = %.0f height = %.0f area = %.0f"
-    e.strips e.width e.height e.area

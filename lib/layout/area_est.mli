@@ -27,6 +27,3 @@ val random_balanced_width :
 
 val estimate :
   ?seed:int -> Icdb_netlist.Netlist.t -> strips:int -> estimate
-
-val estimate_to_string : estimate -> string
-(** The App B §5.3 row: [strip = k width = ... height = ... area = ...]. *)

@@ -33,9 +33,6 @@ let side_of_string = function
   | "bottom" -> Bottom
   | s -> raise (Port_error ("unknown side " ^ s))
 
-let side_to_string = function
-  | Left -> "left" | Right -> "right" | Top -> "top" | Bottom -> "bottom"
-
 (* Parse one line: <port> <side> <position>, where position may carry
    the paper's "s" prefix (slot notation). *)
 let parse_line line =

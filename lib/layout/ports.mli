@@ -29,8 +29,6 @@ exception Port_error of string
 val side_of_string : string -> side
 (** @raise Port_error on unknown sides. *)
 
-val side_to_string : side -> string
-
 val parse : string -> spec list
 (** Parse the paper's line format; the "s" slot prefix is accepted.
     Blank lines are skipped.

@@ -70,13 +70,6 @@ let best_area (t : t) =
         (fun best a -> if a.alt_area < best.alt_area then a else best)
         first rest
 
-(* Narrowest alternative at most [max_width] wide, if any. *)
-let fitting_width (t : t) ~max_width =
-  List.filter (fun a -> a.alt_width <= max_width) t
-  |> function
-  | [] -> None
-  | fits -> Some (best_area fits)
-
 (* The §3.3 listing:
      Alternative=1 width=12000 height=48000 ... *)
 let to_string (t : t) =

@@ -25,8 +25,5 @@ val pareto : t -> t
 val best_area : t -> alternative
 (** @raise Invalid_argument on an empty shape function. *)
 
-val fitting_width : t -> max_width:float -> alternative option
-(** Smallest-area alternative no wider than the bound. *)
-
 val to_string : t -> string
 (** The §3.3 listing: [Alternative=k width=... height=...] lines. *)

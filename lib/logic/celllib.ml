@@ -236,11 +236,6 @@ let () = List.iter (fun c -> Hashtbl.replace by_name c.cname c) all
 
 let find name = Hashtbl.find_opt by_name name
 
-let find_exn name =
-  match find name with
-  | Some c -> c
-  | None -> invalid_arg ("Celllib.find_exn: unknown cell " ^ name)
-
 let ff_cell ~has_set ~has_reset =
   match has_set, has_reset with
   | false, false -> dff

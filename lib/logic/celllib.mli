@@ -74,7 +74,6 @@ val tie1 : t
 val all : t list
 
 val find : string -> t option
-val find_exn : string -> t
 
 val ff_cell : has_set:bool -> has_reset:bool -> t
 val latch_cell : transparent_high:bool -> t

@@ -93,10 +93,3 @@ let drivers t ~is_output_pin =
         i.conns)
     t.instances;
   h
-
-let rename_instances t prefix =
-  { t with
-    instances =
-      List.map
-        (fun i -> { i with inst_name = prefix ^ i.inst_name })
-        t.instances }

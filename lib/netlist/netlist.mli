@@ -45,6 +45,3 @@ val drivers :
   is_output_pin:(string -> string -> bool) ->
   (string, (instance * string) list) Hashtbl.t
 (** Net -> driving (instance, pin) pairs (several for tri-state buses). *)
-
-val rename_instances : t -> string -> t
-(** Prefix every instance name (used when flattening clusters). *)

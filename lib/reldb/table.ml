@@ -284,7 +284,6 @@ let analyze t =
   st
 
 let stats t = t.tbl_stats
-let clear_stats t = t.tbl_stats <- None
 
 let insert t values =
   check_row t values;

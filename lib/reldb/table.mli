@@ -129,8 +129,6 @@ val stats : t -> stats option
     the planner only uses them to rank candidate buckets, never to
     decide membership. *)
 
-val clear_stats : t -> unit
-
 val copy : t -> t
 (** Deep copy (used by transaction snapshots). *)
 

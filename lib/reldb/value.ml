@@ -42,8 +42,6 @@ let to_string = function
   | Str s -> s
   | Bool b -> string_of_bool b
 
-let pp ppf v = Format.pp_print_string ppf (to_string v)
-
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter

@@ -27,8 +27,6 @@ val compare : t -> t -> int
 val to_string : t -> string
 (** Display form, also used by the textual persistence layer. *)
 
-val pp : Format.formatter -> t -> unit
-
 val escape : string -> string
 (** Escape a string for single-line storage (backslash, newline, tab). *)
 

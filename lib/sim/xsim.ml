@@ -19,8 +19,6 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Xsim_error s)) fmt
 
 type v = V0 | V1 | VX | VZ
 
-let v_to_string = function V0 -> "0" | V1 -> "1" | VX -> "X" | VZ -> "Z"
-
 let of_bool b = if b then V1 else V0
 
 (* Z reads as X through any gate input. *)

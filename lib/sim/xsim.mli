@@ -9,7 +9,6 @@ exception Xsim_error of string
 
 type v = V0 | V1 | VX | VZ
 
-val v_to_string : v -> string
 val of_bool : bool -> v
 
 (** Kleene logic with Z-as-X. *)
