@@ -60,7 +60,8 @@ type t = {
   mutable last_tick : float;  (* wall-clock of the last completed tick *)
   mutable on_tick : (unit -> unit) list;
   stop_flag : bool Atomic.t;
-  mutable thread : Thread.t option;
+  mutable thread : (Thread.t * Unix.file_descr * Unix.file_descr) option;
+      (* the sampler thread and its wake pipe (read end, write end) *)
 }
 
 let create ?(cap = 600) ~period_s () =
@@ -151,7 +152,19 @@ let last_value t s =
 
 let running t = t.thread <> None
 
-let loop t =
+(* Park until [deadline], or until [stop] writes to the wake pipe. *)
+let wait_until t wake deadline =
+  let rec go () =
+    let dt = deadline -. Unix.gettimeofday () in
+    if dt > 0.0 && not (Atomic.get t.stop_flag) then begin
+      (try ignore (Unix.select [ wake ] [] [] dt)
+       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      go ()
+    end
+  in
+  go ()
+
+let loop (t, wake) =
   let start = Unix.gettimeofday () in
   let k = ref 0 in
   while not (Atomic.get t.stop_flag) do
@@ -168,7 +181,7 @@ let loop t =
       Mutex.unlock t.lock;
       k := !k + skipped
     end
-    else if now < next then Thread.delay (next -. now)
+    else wait_until t wake next
   done
 
 let start t =
@@ -176,11 +189,23 @@ let start t =
   | Some _ -> ()
   | None ->
       Atomic.set t.stop_flag false;
-      t.thread <- Some (Thread.create loop t)
+      let r, w = Unix.pipe ~cloexec:true () in
+      t.thread <- Some (Thread.create loop (t, r), r, w)
 
+(* The flag ends the loop; the byte on the wake pipe cuts short the wait
+   for the next deadline, so [stop] returns within a tick's work rather
+   than a period. Both pipe ends stay open until the thread is joined,
+   so the write never meets a closed reader. *)
 let stop t =
   Atomic.set t.stop_flag true;
-  (match t.thread with Some th -> Thread.join th | None -> ());
+  (match t.thread with
+  | Some (th, r, w) ->
+      (try ignore (Unix.single_write_substring w "x" 0 1)
+       with Unix.Unix_error _ -> ());
+      Thread.join th;
+      Unix.close r;
+      Unix.close w
+  | None -> ());
   t.thread <- None
 
 (* ------------------------------------------------------------------ *)

@@ -148,9 +148,11 @@ let save t path =
             (fun row ->
               output_string oc "ROW\n";
               Array.iter
-                (fun v -> Printf.fprintf oc "%s\n" (Value.encode v))
+                (fun v ->
+                  output_string oc (Value.encode v);
+                  output_char oc '\n')
                 row)
-            (Table.rows tbl);
+            (Table.scan tbl);
           output_string oc "END\n")
         (table_names t));
   Sys.rename tmp path

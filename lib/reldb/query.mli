@@ -26,26 +26,26 @@ type pred =
 val of_table : Table.t -> rel
 (** Snapshot of a table as a relation. *)
 
-val field : rel -> Table.row -> string -> Value.t
-(** Field access by column name. @raise Table.Schema_error if unknown. *)
-
 val col_index : rel -> string -> int
 (** Position of a column in the relation's schema.
     @raise Table.Schema_error if unknown. *)
 
-val validate_pred : rel -> pred -> unit
-(** Check every column the predicate references against the relation's
-    schema. @raise Table.Schema_error naming the relation, the missing
-    column, and the available columns. Run before evaluation so an
-    unknown column is an error even on an empty relation. *)
+val empty : Table.t -> rel
+(** The table's name and schema with no rows: what a statement's
+    columns and predicate are checked against before any row is read. *)
 
 val eval_pred : rel -> pred -> Table.row -> bool
-(** Evaluate a predicate against a row of the given relation. Numeric
-    comparisons between [Int] and [Float] coerce to float. *)
+(** [eval_pred rel p] compiles [p] against the relation's schema into a
+    row test: every column is resolved to its position once, so an
+    unknown column raises here, before any row is tested — even on an
+    empty relation. @raise Table.Schema_error naming the relation, the
+    missing column, and the available columns. Numeric comparisons
+    between [Int] and [Float] coerce to float. Apply it to [rel] and [p]
+    once and reuse the closure for every row. *)
 
 val select : pred -> rel -> rel
-(** Keep the rows satisfying the predicate. Validates the predicate
-    first ({!validate_pred}). *)
+(** Keep the rows satisfying the predicate (compiled once with
+    {!eval_pred}). The kept arrays are the input's own. *)
 
 type access =
   | Scan
@@ -67,21 +67,23 @@ val plan_access : Table.t -> pred -> access
     and the smallest estimate wins. This is the plan EXPLAIN renders,
     and calling it does not bump any counter. *)
 
-val run_access : Table.t -> pred -> access -> rel
-(** Materialize a chosen access path: the rows it produces {e before}
-    the predicate filters them (the whole table for [Scan], one
-    bucket's copies for [Probe]). Validates the predicate and bumps the
-    select counters — this is the execution half of {!plan_access}'s
-    decision, split out so EXPLAIN ANALYZE can time access and refilter
-    as distinct plan nodes. A [Probe] whose index vanished between plan
-    and execution falls back to the scan. *)
+val run_access : Table.t -> access -> rel
+(** Run a chosen access path: the rows it produces {e before} the
+    predicate filters them (the whole table for [Scan], one bucket for
+    [Probe]), read in place — the arrays are the table's own
+    ({!Table.scan}), so a caller must copy any row it hands out. Bumps
+    the select counters: this is the execution half of
+    {!plan_access}'s decision, split out so EXPLAIN ANALYZE can time
+    access and refilter as distinct plan nodes. A [Probe] whose index
+    vanished between plan and execution falls back to the scan. *)
 
 val select_table : Table.t -> pred -> rel
 (** Like [select p (of_table t)] but with equality-predicate pushdown:
     executes the {!plan_access} decision, so when a top-level [Eq]
     conjunct hits an index declared on [t] ({!Table.create_index}),
     only that bucket is filtered instead of the whole table. Guaranteed
-    to return exactly the rows (and row order) of the full scan. Bumps
+    to return exactly the rows (and row order) of the full scan, as
+    copies; rows the predicate rejects are never copied. Bumps
     [reldb.select.indexed] or [reldb.select.scan], plus the chosen
     index's per-index hit counter. *)
 
@@ -99,8 +101,10 @@ val project : string list -> rel -> rel
 val rename : (string * string) list -> rel -> rel
 (** Rename columns, [(old, new)] pairs. *)
 
-val order_by : string -> ?desc:bool -> rel -> rel
-(** Stable sort on one column. *)
+val order_by : string -> ?desc:bool -> ?limit:int -> rel -> rel
+(** Stable sort on one column. With [~limit:n] only the first [n] rows
+    of that order are produced, by a top-[n] selection in an [n]-slot
+    heap (ties keep input order) rather than a sort of every row. *)
 
 val distinct : rel -> rel
 (** Remove duplicate rows, keeping first occurrences. *)

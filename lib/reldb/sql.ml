@@ -276,11 +276,10 @@ let build_query tbl q =
   (* validate every referenced column against the schema up front:
      EXPLAIN never reads rows, but a typo'd column — in the predicate,
      projection, ORDER BY, or frontier axes — must still be an error,
-     not a plausible-looking plan *)
-  let empty =
-    { Query.rname = tname; rschema = Table.schema tbl; rrows = [] }
-  in
-  Query.validate_pred empty q.q_pred;
+     not a plausible-looking plan. Compiling the predicate checks its
+     columns, and the Filter stage runs that one compiled closure. *)
+  let empty = Query.empty tbl in
+  let keep = Query.eval_pred empty q.q_pred in
   let check col = ignore (Query.col_index empty col) in
   (match q.q_shape with
   | Q_select (Some cols) -> List.iter check cols
@@ -305,8 +304,9 @@ let build_query tbl q =
   let add step f = rev_stages := (step, f) :: !rev_stages in
   (match q.q_pred with
   | Query.True -> ()
-  | p -> add (Plan.step "Filter" ~detail:(Query.pred_to_string p))
-           (Query.select p));
+  | p ->
+      add (Plan.step "Filter" ~detail:(Query.pred_to_string p)) (fun rel ->
+          { rel with Query.rrows = List.filter keep rel.Query.rrows }));
   (match q.q_shape with
   | Q_frontier (`Pareto, x, y) ->
       add (Plan.step "Pareto Frontier"
@@ -317,10 +317,12 @@ let build_query tbl q =
              ~detail:(Printf.sprintf "minimize (%s, %s)" x y))
         (Query.dominated ~x ~y)
   | Q_select _ -> ());
+  (* a LIMIT after ORDER BY bounds the sort itself: it keeps the first
+     n rows in an n-slot heap instead of sorting every survivor *)
   (match q.q_order with
   | Some (col, desc) ->
       add (Plan.step "Sort" ~detail:(if desc then col ^ " DESC" else col))
-        (fun rel -> Query.order_by col ~desc rel)
+        (Query.order_by col ~desc ?limit:q.q_limit)
   | None -> ());
   (match q.q_limit with
   | Some n -> add (Plan.step "Limit" ~detail:(string_of_int n))
@@ -342,49 +344,53 @@ let build_query tbl q =
 let ms_between t0 t1 = float_of_int (t1 - t0) *. 1e-6
 
 (* Execute a query description. [timed] is EXPLAIN ANALYZE: each plan
-   step additionally gets actual rows in/out and wall time (which costs
-   a couple of clock reads and row counts per step — plain execution
-   pays none of it). *)
+   step additionally gets actual rows in/out and wall time (a couple of
+   clock reads and a row count per step — plain execution pays none of
+   it), on the same path plain execution takes. The access step reads
+   the table's rows in place; the answer is copied once, at the end,
+   unless a projection already built fresh rows. *)
 let run_query db q ~timed =
   let tbl = Db.table db q.q_table in
   let plan, access, access_step, stages = build_query tbl q in
-  if timed then begin
-    (* thread each stage's output count into the next stage's input so a
-       row list is only ever counted once *)
-    let t0 = Icdb_obs.Clock.now_ns () in
-    let rel0 = Query.run_access tbl q.q_pred access in
-    let t1 = Icdb_obs.Clock.now_ns () in
-    (* a scan's output is the whole table, so its count is O(1); only a
-       probe's bucket needs measuring *)
-    let n0 =
+  let clock () = if timed then Icdb_obs.Clock.now_ns () else 0 in
+  let t0 = clock () in
+  let rel0 = Query.run_access tbl access in
+  let t1 = clock () in
+  (* thread each stage's output count into the next stage's input so a
+     row list is only ever counted once; a scan's output is the whole
+     table, so its count is O(1) *)
+  let n0 =
+    if not timed then 0
+    else
       match access with
       | Query.Scan -> Table.cardinality tbl
       | Query.Probe _ -> Query.count rel0
-    in
+  in
+  if timed then
     Plan.actuals access_step ~rows_in:(Table.cardinality tbl) ~rows_out:n0
       ~ms:(ms_between t0 t1);
-    let rel, _ =
-      List.fold_left
-        (fun (rel, n_in) (step, f) ->
-          let t0 = Icdb_obs.Clock.now_ns () in
-          let out = f rel in
-          let t1 = Icdb_obs.Clock.now_ns () in
+  let rel, _ =
+    List.fold_left
+      (fun (rel, n_in) (step, f) ->
+        let t0 = clock () in
+        let out = f rel in
+        let t1 = clock () in
+        if timed then begin
           let n_out = Query.count out in
           Plan.actuals step ~rows_in:n_in ~rows_out:n_out
             ~ms:(ms_between t0 t1);
-          (out, n_out))
-        (rel0, n0) stages
-    in
-    (rel, plan)
-  end
-  else
-    let rel =
-      List.fold_left
-        (fun rel (_, f) -> f rel)
-        (Query.run_access tbl q.q_pred access)
-        stages
-    in
-    (rel, plan)
+          (out, n_out)
+        end
+        else (out, n_in))
+      (rel0, n0) stages
+  in
+  let rel =
+    match q.q_shape with
+    | Q_select (Some _) -> rel
+    | Q_select None | Q_frontier _ ->
+        { rel with Query.rrows = List.map Array.copy rel.Query.rrows }
+  in
+  (rel, plan)
 
 (* The EXPLAIN result relation: one [plan] column, one row per rendered
    plan line. *)
@@ -499,18 +505,17 @@ let exec_toks db toks =
       let sets, rest = assigns [] rest in
       let pred, rest = parse_where rest in
       if rest <> [] then sql_err "trailing tokens after UPDATE";
-      let rel = Query.of_table tbl in
-      Query.validate_pred rel pred;
-      let n = Table.update tbl (Query.eval_pred rel pred) (fun _ -> sets) in
+      let n =
+        Table.update tbl (Query.eval_pred (Query.empty tbl) pred)
+          (fun _ -> sets)
+      in
       (Affected n, None, "write", true)
   | Word w :: Word f :: Word tbl_name :: rest
     when kw_eq w "delete" && kw_eq f "from" ->
       let tbl = Db.table db tbl_name in
       let pred, rest = parse_where rest in
       if rest <> [] then sql_err "trailing tokens after DELETE";
-      let rel = Query.of_table tbl in
-      Query.validate_pred rel pred;
-      let n = Table.delete tbl (Query.eval_pred rel pred) in
+      let n = Table.delete tbl (Query.eval_pred (Query.empty tbl) pred) in
       (Affected n, None, "write", true)
   | Word w :: Word i :: Word o :: Word tbl_name :: rest
     when kw_eq w "create" && kw_eq i "index" && kw_eq o "on" -> (

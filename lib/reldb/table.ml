@@ -197,11 +197,11 @@ let index_lookup t col v =
           let bucket =
             Option.value ~default:[] (Hashtbl.find_opt ix.ix_buckets key)
           in
-          Some (List.rev_map Array.copy bucket))
+          Some (List.rev bucket))
 
-(* How many rows an equality probe would return, without materializing
-   (or copying) the bucket: the planner calls this once per candidate
-   index, and only the winner pays {!index_lookup}'s copy. When the
+(* How many rows an equality probe would return, without touching the
+   bucket's rows: the planner calls this once per candidate index, and
+   only the winner is read by {!index_lookup}. When the
    table carries {!analyze} statistics the estimate is
    rows / distinct(col) — O(1), no bucket walk at all — which is what
    lets a skewed-selectivity index lose to a finer one even before any
@@ -305,11 +305,18 @@ let insert_assoc t bindings =
     bindings;
   insert t (List.map lookup t.tbl_schema)
 
+let scan t = List.rev t.data
+
 let rows t = List.rev_map Array.copy t.data
 
 let get row t col = row.(column_index t col)
 
-let filter t pred = List.filter pred (rows t)
+(* [data] is newest-first, so the fold yields the matches oldest-first;
+   only they are copied. *)
+let filter t pred =
+  List.fold_left
+    (fun acc row -> if pred row then Array.copy row :: acc else acc)
+    [] t.data
 
 let update t pred assign =
   let updated = ref 0 in

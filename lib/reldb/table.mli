@@ -36,11 +36,19 @@ val rows : t -> row list
 (** All rows in insertion order. The arrays are copies: mutating them
     does not affect the table. *)
 
+val scan : t -> row list
+(** All rows in insertion order, without copying: the arrays are the
+    table's own. The table never mutates a row array in place
+    ([update] replaces it), so the list stays a faithful snapshot, but a
+    caller must not mutate the arrays and must copy any row that leaves
+    its hands. This is the read path of the query engine, which copies
+    only the rows a statement returns. *)
+
 val get : row -> t -> string -> Value.t
 (** [get row t col] is the field of [row] at column [col] of [t]. *)
 
 val filter : t -> (row -> bool) -> row list
-(** Rows satisfying a predicate, in order. *)
+(** Copies of the rows satisfying a predicate, in order. *)
 
 val update : t -> (row -> bool) -> (row -> (string * Value.t) list) -> int
 (** [update t pred assign] rewrites the given columns of each matching
@@ -83,12 +91,13 @@ val index_lookup : t -> string -> Value.t -> row list option
     equality, in insertion order — when [col] has an index and the
     lookup key can model that equality; [None] when there is no index
     on [col] or the literal cannot be hashed faithfully (the caller
-    must fall back to a scan). The arrays are copies. Every answered
-    lookup bumps the index's [reldb.index.<table>.<col>.hits] counter. *)
+    must fall back to a scan). Like {!scan}, the arrays are the table's
+    own, not copies. Every answered lookup bumps the index's
+    [reldb.index.<table>.<col>.hits] counter. *)
 
 val probe_estimate :
   t -> string -> Value.t -> [ `Stats of int | `Bucket of int ] option
-(** How many rows [index_lookup t col v] would return, without copying
+(** How many rows [index_lookup t col v] would return, without reading
     (or, with statistics, even touching) the bucket. [`Stats n] is the
     rows/distinct estimate from the last {!analyze}; [`Bucket n] is the
     exact bucket length when no statistics exist. [None] exactly when

@@ -485,6 +485,31 @@ let test_series_sampler_thread () =
    | Some (_, v) -> check (Alcotest.float 0.0) "gauge level sampled" 42.0 v
    | None -> Alcotest.fail "no samples after the thread ran")
 
+(* [stop] wakes a sampler parked between ticks instead of waiting out
+   the period: with a 1 s period it must return well inside a second. *)
+let test_series_prompt_stop () =
+  let s = Series.create ~cap:8 ~period_s:1.0 () in
+  Series.start s;
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Series.total_ticks s < 1 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  (* let the thread reach its wait for the next deadline *)
+  Thread.delay 0.05;
+  let t0 = Unix.gettimeofday () in
+  Series.stop s;
+  let dt = Unix.gettimeofday () -. t0 in
+  check Alcotest.bool "stopped" false (Series.running s);
+  check Alcotest.int "one tick, no early second" 1 (Series.total_ticks s);
+  if dt >= 0.2 then Alcotest.failf "stop took %.3f s on a 1 s period" dt;
+  (* a restarted sampler gets a fresh wake pipe and stops promptly too *)
+  Series.start s;
+  Thread.delay 0.05;
+  let t0 = Unix.gettimeofday () in
+  Series.stop s;
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt >= 0.2 then Alcotest.failf "restarted stop took %.3f s" dt
+
 (* The /statz body: structurally valid JSON, NaN as null, ?last bound. *)
 let test_series_json () =
   let s = Series.create ~cap:8 ~period_s:0.5 () in
@@ -585,6 +610,8 @@ let () =
             test_series_concurrent_writer;
           Alcotest.test_case "sampler thread ticks and stops" `Quick
             test_series_sampler_thread;
+          Alcotest.test_case "stop wakes a parked sampler" `Quick
+            test_series_prompt_stop;
           Alcotest.test_case "statz JSON well-formed and bounded" `Quick
             test_series_json;
           Alcotest.test_case "flight-recorder dump" `Quick

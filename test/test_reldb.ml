@@ -273,6 +273,31 @@ let test_db_save_load () =
        check Alcotest.bool "float" true (Value.equal r1.(1) (vfloat 8.5))
    | _ -> Alcotest.fail "expected 2 rows")
 
+(* The snapshot format is a durable surface: the bytes a small database
+   saves to are pinned here, so a faster writer cannot drift from what
+   older snapshots look like. *)
+let test_db_save_bytes () =
+  let db = mkdb () in
+  let t2 = Db.create_table db "delays"
+      [ ("port", Value.Tstr); ("wd", Value.Tfloat); ("seq", Value.Tbool) ] in
+  Table.insert t2 [ vstr "Q[4]"; vfloat 8.5; vbool true ];
+  Table.insert t2 [ vstr "line\nbreak\tand\\"; vfloat (-0.0); vbool false ];
+  Table.insert t2 [ vstr ""; vfloat Float.nan; vbool true ];
+  Table.insert t2 [ vstr "x"; vfloat 0.1; vbool false ];
+  let path = Filename.temp_file "icdb_reldb" ".db" in
+  Db.save db path;
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  check Alcotest.string "snapshot bytes"
+    "TABLE comps\nCOL name string\nCOL n int\n\
+     ROW\ns:a\ni:1\nROW\ns:b\ni:2\nEND\n\
+     TABLE delays\nCOL port string\nCOL wd float\nCOL seq bool\n\
+     ROW\ns:Q[4]\nf:0x1.1p+3\nb:true\n\
+     ROW\ns:line\\nbreak\\tand\\\\\nf:-0x0p+0\nb:false\n\
+     ROW\ns:\nf:nan\nb:true\n\
+     ROW\ns:x\nf:0x1.999999999999ap-4\nb:false\nEND\n"
+    bytes
+
 let test_db_missing_table () =
   let db = mkdb () in
   Alcotest.check_raises "no table" (Db.Db_error "no table nope") (fun () ->
@@ -882,10 +907,244 @@ let prop_indexed_equals_scan =
       live_ok && all_probes_agree tbl2 && plan_kind_matches db2
       && Table.cardinality tbl2 = pre_index_rows)
 
+(* ------------------------------------------------------------------ *)
+(* Read path: the engine against the list-based reference              *)
+(* ------------------------------------------------------------------ *)
+
+(* Rows rendered exactly: [Value.encode] tells -0. from 0. and keeps
+   NaN, so "the same rows" means the same values in the same order. *)
+let render_rows rows =
+  String.concat "\n"
+    (List.map
+       (fun row -> String.concat "|" (Array.to_list (Array.map Value.encode row)))
+       rows)
+
+let ref_schema =
+  [ ("a", Value.Tint); ("x", Value.Tfloat); ("y", Value.Tfloat);
+    ("s", Value.Tstr); ("b", Value.Tbool) ]
+
+(* Small domains, so ORDER BY keys, Pareto points and index buckets
+   collide often; NaN, -0. and 0. all appear in the float columns. *)
+let ints = [ -1; 0; 1; 2; 3 ]
+let floats = [ Float.nan; -0.0; 0.0; 0.5; 1.0; 2.5 ]
+let strs = [ ""; "a"; "ab"; "b"; "ba" ]
+
+type read_case = {
+  rc_rows : Value.t list list;
+  rc_index : string option;
+  rc_analyze : bool;
+  rc_shape : Reldb_ref.shape;
+  rc_pred : Query.pred;
+  rc_order : (string * bool) option;
+  rc_limit : int option;
+}
+
+(* A literal SQL parses back to exactly this value: floats always carry
+   a decimal point (NaN has no SQL spelling, so it only lives in rows). *)
+let sql_literal = function
+  | Value.Float f -> Printf.sprintf "%.1f" f
+  | v -> Sql.quote v
+
+let rec sql_of_pred = function
+  | Query.True -> invalid_arg "sql_of_pred: True has no SQL spelling"
+  | Query.Eq (c, v) -> Printf.sprintf "%s = %s" c (sql_literal v)
+  | Query.Neq (c, v) -> Printf.sprintf "%s != %s" c (sql_literal v)
+  | Query.Lt (c, v) -> Printf.sprintf "%s < %s" c (sql_literal v)
+  | Query.Le (c, v) -> Printf.sprintf "%s <= %s" c (sql_literal v)
+  | Query.Gt (c, v) -> Printf.sprintf "%s > %s" c (sql_literal v)
+  | Query.Ge (c, v) -> Printf.sprintf "%s >= %s" c (sql_literal v)
+  | Query.Like (c, pat) -> Printf.sprintf "%s LIKE %s" c (Sql.quote_string pat)
+  | Query.And (a, b) -> Printf.sprintf "(%s AND %s)" (sql_of_pred a) (sql_of_pred b)
+  | Query.Or (a, b) -> Printf.sprintf "(%s OR %s)" (sql_of_pred a) (sql_of_pred b)
+  | Query.Not a -> Printf.sprintf "(NOT %s)" (sql_of_pred a)
+
+let sql_of_case c =
+  let where =
+    match c.rc_pred with
+    | Query.True -> ""
+    | p -> " WHERE " ^ sql_of_pred p
+  in
+  let order =
+    match c.rc_order with
+    | Some (col, desc) -> " ORDER BY " ^ col ^ if desc then " DESC" else ""
+    | None -> ""
+  in
+  let lim = match c.rc_limit with Some n -> Printf.sprintf " LIMIT %d" n | None -> "" in
+  match c.rc_shape with
+  | Reldb_ref.Select cols ->
+      let cols = match cols with None -> "*" | Some cs -> String.concat ", " cs in
+      Printf.sprintf "SELECT %s FROM t%s%s%s" cols where order lim
+  | Reldb_ref.Pareto (x, y) -> Printf.sprintf "PARETO t ON %s, %s%s%s" x y where lim
+  | Reldb_ref.Dominated (x, y) ->
+      Printf.sprintf "DOMINATED t ON %s, %s%s%s" x y where lim
+
+let print_case c =
+  Printf.sprintf "rows:\n%s\nindex: %s%s\n%s"
+    (render_rows (List.map Array.of_list c.rc_rows))
+    (Option.value c.rc_index ~default:"none")
+    (if c.rc_analyze then " (analyzed)" else "")
+    (sql_of_case c)
+
+let gen_read_case =
+  let open QCheck.Gen in
+  let cols = List.map fst ref_schema in
+  let value_of_col = function
+    | "a" -> map (fun i -> Value.Int i) (oneofl ints)
+    | "x" | "y" -> map (fun f -> Value.Float f) (oneofl floats)
+    | "s" -> map (fun s -> Value.Str s) (oneofl strs)
+    | _ -> map (fun b -> Value.Bool b) bool
+  in
+  let row = flatten_l (List.map value_of_col cols) in
+  (* mostly the column's own type; sometimes another, to reach the
+     Int/Float coercion and the never-equal cross-type comparisons *)
+  let literal col =
+    frequency
+      [ (4, map (function Value.Float f when Float.is_nan f -> Value.Float 3.0 | v -> v)
+              (value_of_col col));
+        (1, map (fun i -> Value.Int i) (oneofl ints));
+        (1, map (fun f -> Value.Float f) (oneofl [ -0.0; 0.0; 1.0; 2.5; 3.0 ]));
+        (1, map (fun s -> Value.Str s) (oneofl strs)) ]
+  in
+  let leaf =
+    oneofl cols >>= fun c ->
+    oneof
+      [ map (fun v -> Query.Eq (c, v)) (literal c);
+        map (fun v -> Query.Neq (c, v)) (literal c);
+        map (fun v -> Query.Lt (c, v)) (literal c);
+        map (fun v -> Query.Le (c, v)) (literal c);
+        map (fun v -> Query.Gt (c, v)) (literal c);
+        map (fun v -> Query.Ge (c, v)) (literal c);
+        map (fun p -> Query.Like (c, p)) (oneofl [ ""; "a"; "b"; "ab" ]) ]
+  in
+  let pred =
+    fix
+      (fun self depth ->
+        if depth = 0 then leaf
+        else
+          frequency
+            [ (3, leaf);
+              (1, map2 (fun a b -> Query.And (a, b)) (self (depth - 1)) (self (depth - 1)));
+              (1, map2 (fun a b -> Query.Or (a, b)) (self (depth - 1)) (self (depth - 1)));
+              (1, map (fun a -> Query.Not a) (self (depth - 1))) ])
+      3
+  in
+  let numeric = oneofl [ "a"; "x"; "y" ] in
+  list_size (int_bound 30) row >>= fun rows ->
+  let n = List.length rows in
+  opt (oneofl cols) >>= fun rc_index ->
+  bool >>= fun rc_analyze ->
+  frequency [ (1, return Query.True); (4, pred) ] >>= fun rc_pred ->
+  opt (int_bound (n + 2)) >>= fun rc_limit ->
+  frequency
+    [ (4,
+       opt (list_size (int_range 1 3) (oneofl cols)) >>= fun proj ->
+       opt (pair (oneofl cols) bool) >>= fun rc_order ->
+       return (Reldb_ref.Select proj, rc_order));
+      (1, map2 (fun x y -> (Reldb_ref.Pareto (x, y), None)) numeric numeric);
+      (1, map2 (fun x y -> (Reldb_ref.Dominated (x, y), None)) numeric numeric) ]
+  >>= fun (rc_shape, rc_order) ->
+  return { rc_rows = rows; rc_index; rc_analyze; rc_shape; rc_pred; rc_order; rc_limit }
+
+let read_case_db c =
+  let db = Db.create () in
+  let t = Db.create_table db "t" ref_schema in
+  List.iter (Table.insert t) c.rc_rows;
+  Option.iter (Table.create_index t) c.rc_index;
+  if c.rc_analyze then ignore (Table.analyze t);
+  (db, t)
+
+(* Compiled predicates, equality pushdown, the bounded top-N sort and
+   the array-based frontier against the frozen list-based read path:
+   identical rendered rows in identical order. EXPLAIN ANALYZE runs the
+   same statement and must report the same row count, with a bounded
+   Sort emitting min(n, rows in). *)
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"read path = list-based reference" ~count:1000
+    (QCheck.make ~print:print_case gen_read_case)
+    (fun c ->
+      let db, t = read_case_db c in
+      let stmt = sql_of_case c in
+      let want =
+        Reldb_ref.run t ~shape:c.rc_shape ~pred:c.rc_pred ~order:c.rc_order
+          ~lim:c.rc_limit
+      in
+      let got =
+        match Sql.exec db stmt with
+        | Sql.Relation r -> r
+        | Sql.Affected _ -> QCheck.Test.fail_report "not a relation"
+      in
+      let rows_ok =
+        String.equal (render_rows got.Query.rrows) (render_rows want.Query.rrows)
+        || QCheck.Test.fail_reportf "engine:\n%s\nreference:\n%s"
+             (render_rows got.Query.rrows) (render_rows want.Query.rrows)
+      in
+      let plan =
+        match Sql.exec_explained db ("EXPLAIN ANALYZE " ^ stmt) with
+        | _, Some plan -> plan
+        | _, None -> QCheck.Test.fail_report "EXPLAIN ANALYZE without a plan"
+      in
+      let last = List.nth plan.Plan.p_steps (List.length plan.Plan.p_steps - 1) in
+      let sort_ok =
+        List.for_all
+          (fun st ->
+            st.Plan.s_op <> "Sort"
+            ||
+            match st.Plan.s_rows_in, st.Plan.s_rows_out, c.rc_limit with
+            | Some i, Some o, Some n -> o = min n i
+            | Some i, Some o, None -> o = i
+            | _ -> false)
+          plan.Plan.p_steps
+      in
+      rows_ok && sort_ok
+      && last.Plan.s_rows_out = Some (List.length want.Query.rrows))
+
+(* Copy at the edge: whatever a read returns, mutating it must not
+   reach the table, its indexes, or the next answer. *)
+let test_read_results_are_copies () =
+  let clobber rows =
+    List.iter (fun row -> Array.fill row 0 (Array.length row) (vstr "clobbered")) rows
+  in
+  let check_stable name read =
+    let first = read () in
+    check Alcotest.bool (name ^ ": returns rows") true (first <> []);
+    let before = render_rows first in
+    clobber first;
+    check Alcotest.string (name ^ ": answer unchanged") before (render_rows (read ()))
+  in
+  let shapes =
+    [ "SELECT * FROM impls";
+      "SELECT name, area FROM impls";
+      "SELECT * FROM impls WHERE comp = 'counter'";
+      "SELECT name, size FROM impls WHERE comp = 'counter'";
+      "SELECT * FROM impls ORDER BY area LIMIT 2";
+      "SELECT * FROM impls WHERE comp = 'counter' ORDER BY area DESC LIMIT 2";
+      "SELECT name FROM impls ORDER BY size LIMIT 3";
+      "PARETO impls ON size, area";
+      "PARETO impls ON size, area WHERE comp = 'counter'";
+      "DOMINATED impls ON size, area";
+      "DOMINATED impls ON size, area WHERE comp = 'counter'" ]
+  in
+  List.iter
+    (fun indexed ->
+      let db = sqldb () in
+      if indexed then ignore (Sql.exec db "CREATE INDEX ON impls (comp)");
+      let tag = if indexed then " (indexed)" else "" in
+      List.iter
+        (fun stmt ->
+          check_stable (stmt ^ tag) (fun () -> (run_select db stmt).Query.rrows))
+        shapes;
+      let tbl = Db.table db "impls" in
+      check_stable ("Query.select_table" ^ tag) (fun () ->
+          (Query.select_table tbl (Query.Eq ("comp", vstr "counter"))).Query.rrows);
+      check_stable ("Query.select_table, no equality" ^ tag) (fun () ->
+          (Query.select_table tbl (Query.Gt ("size", vint 0))).Query.rrows))
+    [ false; true ]
+
 let props = List.map QCheck_alcotest.to_alcotest
     [ prop_value_roundtrip; prop_compare_reflexive; prop_compare_antisym;
       prop_select_idempotent; prop_project_preserves_count;
-      prop_save_load_identity; prop_indexed_equals_scan ]
+      prop_save_load_identity; prop_indexed_equals_scan;
+      prop_engine_matches_reference ]
 
 let () =
   Alcotest.run "reldb"
@@ -919,6 +1178,7 @@ let () =
          Alcotest.test_case "nested tx" `Quick test_db_nested_tx;
          Alcotest.test_case "with_tx exn" `Quick test_db_with_tx_exn;
          Alcotest.test_case "save/load" `Quick test_db_save_load;
+         Alcotest.test_case "snapshot bytes" `Quick test_db_save_bytes;
          Alcotest.test_case "missing table" `Quick test_db_missing_table ]);
       ("sql",
        [ Alcotest.test_case "select star" `Quick test_sql_select_star;
@@ -944,6 +1204,8 @@ let () =
          Alcotest.test_case "non-numeric objective" `Quick test_sql_pareto_non_numeric;
          Alcotest.test_case "create/drop index statements" `Quick test_sql_create_drop_index;
          Alcotest.test_case "unknown column names the table" `Quick test_sql_where_unknown_column_message ]);
+      ("read path",
+       [ Alcotest.test_case "returned rows are copies" `Quick test_read_results_are_copies ]);
       ("queryobs",
        [ Alcotest.test_case "golden EXPLAIN text" `Quick test_explain_golden;
          Alcotest.test_case "EXPLAIN ANALYZE actuals" `Quick test_explain_analyze_actuals;
